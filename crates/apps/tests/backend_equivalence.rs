@@ -8,6 +8,9 @@
 //! slice-boundary checkpoint digest stream are all bit-identical between
 //! backends — on both engines. The generated programs mix compute,
 //! barriers, ranked and wildcard receives, waitalls, and allreduces.
+//!
+//! The thread backend's observations for the generated corpus are frozen
+//! in `golden/rank_backend.txt`; both backends must reproduce every record.
 
 use bcs_mpi::{BcsConfig, BcsMpi};
 use mpi_api::datatype::ReduceOp;
@@ -17,6 +20,10 @@ use mpi_api::{AsyncMpi, RankProgram};
 use proplite::prelude::*;
 use quadrics_mpi::{QuadricsConfig, QuadricsMpi};
 use simcore::{SimDuration, SimTime};
+use std::fmt::Write as _;
+
+/// The frozen corpus: one record per script, produced on the thread backend.
+const GOLDEN: &str = include_str!("golden/rank_backend.txt");
 
 /// One randomized rank program.
 #[derive(Clone, Copy, Debug)]
@@ -33,6 +40,24 @@ struct Script {
     wildcard: bool,
     /// Fold an allreduce into each iteration's checksum.
     reduce: bool,
+}
+
+impl Script {
+    /// The record's first line: every field, `key=value`.
+    fn header(&self) -> String {
+        format!(
+            "script ranks={} iters={} granularity_us={} msg_bytes={} fanout={} \
+             barrier={} wildcard={} reduce={}",
+            self.ranks,
+            self.iters,
+            self.granularity_us,
+            self.msg_bytes,
+            self.fanout,
+            self.barrier,
+            self.wildcard,
+            self.reduce
+        )
+    }
 }
 
 fn program(s: Script) -> impl RankProgram<Out = u64> {
@@ -81,41 +106,97 @@ fn layout(ranks: usize) -> JobLayout {
     JobLayout::new(ranks.div_ceil(2), 2, ranks)
 }
 
-/// Everything a backend could observably change, captured from one BCS run
-/// (checkpoint digests included — VM-resident rank state must checkpoint
-/// exactly like thread-resident state).
-type BcsObs = (Vec<u64>, Vec<SimTime>, SimDuration, u64, Vec<(u64, u64)>);
+fn join<T: std::fmt::Display>(xs: impl IntoIterator<Item = T>) -> String {
+    xs.into_iter().map(|x| x.to_string()).collect::<Vec<_>>().join(" ")
+}
 
-fn run_bcs(s: Script, backend: Backend) -> BcsObs {
+/// One engine run, rendered as the record's lines for `engine`: per-rank
+/// results, per-rank finish times and elapsed virtual time, plus (BCS only)
+/// the slice-boundary checkpoint digest stream. Event counts are host-side
+/// cost, not observable behaviour, and are deliberately not frozen.
+fn render_run(
+    out: &mut String,
+    engine: &str,
+    results: &[u64],
+    finish_times: &[SimTime],
+    elapsed: SimDuration,
+    checkpoints: Option<&[(u64, u64)]>,
+) {
+    writeln!(out, "{engine}.results {}", join(results)).unwrap();
+    writeln!(
+        out,
+        "{engine}.finish_ns {}",
+        join(finish_times.iter().map(|t| t.as_nanos()))
+    )
+    .unwrap();
+    writeln!(out, "{engine}.elapsed_ns {}", elapsed.as_nanos()).unwrap();
+    if let Some(cps) = checkpoints {
+        writeln!(
+            out,
+            "{engine}.checkpoints {}",
+            join(cps.iter().map(|(slice, digest)| format!("{slice}:{digest:#018x}")))
+        )
+        .unwrap();
+    }
+}
+
+/// Run `s` on both engines over `backend`; returns the rendered record and
+/// the two event counts.
+fn observe(s: Script, backend: Backend) -> (String, u64, u64) {
+    let mut rec = s.header();
+    rec.push('\n');
     let lay = layout(s.ranks);
     let mut cfg = BcsConfig::default();
     cfg.checkpoint_every = Some(2);
-    let out = run_program_on(
+    let bcs = run_program_on(
         BcsMpi::new(cfg, &lay),
-        lay,
+        lay.clone(),
         program(s),
         RunOpts::default(),
         backend,
     );
-    (
-        out.results,
-        out.finish_times,
-        out.elapsed,
-        out.events,
-        out.engine.checkpoints.clone(),
-    )
-}
-
-fn run_quadrics(s: Script, backend: Backend) -> (Vec<u64>, Vec<SimTime>, SimDuration, u64) {
-    let lay = layout(s.ranks);
-    let out = run_program_on(
+    render_run(
+        &mut rec,
+        "bcs",
+        &bcs.results,
+        &bcs.finish_times,
+        bcs.elapsed,
+        Some(&bcs.engine.checkpoints),
+    );
+    let q = run_program_on(
         QuadricsMpi::new(QuadricsConfig::default(), &lay),
         lay,
         program(s),
         RunOpts::default(),
         backend,
     );
-    (out.results, out.finish_times, out.elapsed, out.events)
+    render_run(&mut rec, "quadrics", &q.results, &q.finish_times, q.elapsed, None);
+    (rec, bcs.events, q.events)
+}
+
+/// Golden records, in corpus order (blank-line separated; `#` lines are
+/// commentary).
+fn golden_records() -> Vec<String> {
+    let body: String = GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    body.split("\n\n")
+        .map(|r| r.trim_matches('\n'))
+        .filter(|r| !r.is_empty())
+        .map(|r| format!("{r}\n"))
+        .collect()
+}
+
+#[test]
+fn golden_corpus_holds_twenty_distinct_scripts() {
+    let recs = golden_records();
+    assert_eq!(recs.len(), 20);
+    let mut headers: Vec<&str> = recs.iter().map(|r| r.lines().next().unwrap()).collect();
+    headers.sort_unstable();
+    headers.dedup();
+    assert_eq!(headers.len(), 20, "duplicate scripts in the golden corpus");
 }
 
 proplite! {
@@ -134,19 +215,16 @@ proplite! {
         let s = Script {
             ranks, iters, granularity_us, msg_bytes, fanout, barrier, wildcard, reduce,
         };
-        let vm = run_bcs(s, Backend::Vm);
-        let th = run_bcs(s, Backend::Threads);
-        prop_assert_eq!(&vm.0, &th.0);
-        prop_assert_eq!(&vm.1, &th.1);
-        prop_assert_eq!(vm.2, th.2);
-        prop_assert_eq!(vm.3, th.3);
-        prop_assert_eq!(&vm.4, &th.4);
+        let (vm, vm_bcs_events, vm_q_events) = observe(s, Backend::Vm);
+        let (th, th_bcs_events, th_q_events) = observe(s, Backend::Threads);
+        prop_assert_eq!(&vm, &th);
+        prop_assert_eq!(vm_bcs_events, th_bcs_events);
+        prop_assert_eq!(vm_q_events, th_q_events);
 
-        let vm = run_quadrics(s, Backend::Vm);
-        let th = run_quadrics(s, Backend::Threads);
-        prop_assert_eq!(&vm.0, &th.0);
-        prop_assert_eq!(&vm.1, &th.1);
-        prop_assert_eq!(vm.2, th.2);
-        prop_assert_eq!(vm.3, th.3);
+        let header = s.header();
+        let recs = golden_records();
+        let golden = recs.iter().find(|r| r.lines().next() == Some(header.as_str()));
+        prop_assert!(golden.is_some(), "script missing from the golden corpus: {header}");
+        prop_assert_eq!(golden.unwrap(), &th);
     }
 }
