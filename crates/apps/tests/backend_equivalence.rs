@@ -1,23 +1,23 @@
-//! Property: the rank-execution backend is unobservable.
+//! Golden replay: the rank-execution backend is unobservable.
 //!
-//! The stackless VM ([`mpi_api::runtime::Backend::Vm`]) and the
-//! thread-per-rank reference harness ([`mpi_api::runtime::Backend::Threads`])
-//! must drive the engine through the exact same call stream at the exact
-//! same virtual instants, so per-rank results, per-rank finish times, the
-//! job's elapsed virtual time, the discrete-event count, and the
-//! slice-boundary checkpoint digest stream are all bit-identical between
-//! backends — on both engines. The generated programs mix compute,
+//! The thread-per-rank harness this repository used to carry (one parked OS
+//! thread per rank) was removed in favour of the stackless VM. Before it
+//! went, its observations for a fixed corpus of 20 generated rank programs
+//! were frozen in `golden/rank_backend.txt`: per-rank results, per-rank
+//! finish times, elapsed virtual time and, on BCS-MPI, the slice-boundary
+//! checkpoint digest stream — on both engines. Every record is replayed
+//! here on the VM and must match bit for bit. The programs mix compute,
 //! barriers, ranked and wildcard receives, waitalls, and allreduces.
 //!
-//! The thread backend's observations for the generated corpus are frozen
-//! in `golden/rank_backend.txt`; both backends must reproduce every record.
+//! The corpus is data, not a generator: no change to a strategy or seed
+//! derivation can silently swap it. Event counts are host-side cost, not
+//! observable behaviour, and are deliberately not part of the records.
 
 use bcs_mpi::{BcsConfig, BcsMpi};
 use mpi_api::datatype::ReduceOp;
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{Backend, JobLayout, RunOpts, run_program_on};
+use mpi_api::runtime::{JobLayout, run_program};
 use mpi_api::{AsyncMpi, RankProgram};
-use proplite::prelude::*;
 use quadrics_mpi::{QuadricsConfig, QuadricsMpi};
 use simcore::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -43,6 +43,30 @@ struct Script {
 }
 
 impl Script {
+    /// Parse a record's first line (see [`Script::header`]).
+    fn parse(header: &str) -> Script {
+        let mut fields = header.strip_prefix("script ").expect("record header").split(' ');
+        let mut next = |key: &str| -> &str {
+            let field = fields.next().unwrap_or_else(|| panic!("{key} missing in {header:?}"));
+            field
+                .strip_prefix(key)
+                .and_then(|f| f.strip_prefix('='))
+                .unwrap_or_else(|| panic!("expected {key}=... in {header:?}"))
+        };
+        let script = Script {
+            ranks: next("ranks").parse().unwrap(),
+            iters: next("iters").parse().unwrap(),
+            granularity_us: next("granularity_us").parse().unwrap(),
+            msg_bytes: next("msg_bytes").parse().unwrap(),
+            fanout: next("fanout").parse().unwrap(),
+            barrier: next("barrier").parse().unwrap(),
+            wildcard: next("wildcard").parse().unwrap(),
+            reduce: next("reduce").parse().unwrap(),
+        };
+        assert_eq!(script.header(), header, "header does not round-trip");
+        script
+    }
+
     /// The record's first line: every field, `key=value`.
     fn header(&self) -> String {
         format!(
@@ -140,21 +164,14 @@ fn render_run(
     }
 }
 
-/// Run `s` on both engines over `backend`; returns the rendered record and
-/// the two event counts.
-fn observe(s: Script, backend: Backend) -> (String, u64, u64) {
+/// Run `s` on both engines and render the record.
+fn observe(s: Script) -> String {
     let mut rec = s.header();
     rec.push('\n');
     let lay = layout(s.ranks);
     let mut cfg = BcsConfig::default();
     cfg.checkpoint_every = Some(2);
-    let bcs = run_program_on(
-        BcsMpi::new(cfg, &lay),
-        lay.clone(),
-        program(s),
-        RunOpts::default(),
-        backend,
-    );
+    let bcs = run_program(BcsMpi::new(cfg, &lay), lay.clone(), program(s));
     render_run(
         &mut rec,
         "bcs",
@@ -163,15 +180,13 @@ fn observe(s: Script, backend: Backend) -> (String, u64, u64) {
         bcs.elapsed,
         Some(&bcs.engine.checkpoints),
     );
-    let q = run_program_on(
+    let q = run_program(
         QuadricsMpi::new(QuadricsConfig::default(), &lay),
         lay,
         program(s),
-        RunOpts::default(),
-        backend,
     );
     render_run(&mut rec, "quadrics", &q.results, &q.finish_times, q.elapsed, None);
-    (rec, bcs.events, q.events)
+    rec
 }
 
 /// Golden records, in corpus order (blank-line separated; `#` lines are
@@ -199,32 +214,14 @@ fn golden_corpus_holds_twenty_distinct_scripts() {
     assert_eq!(headers.len(), 20, "duplicate scripts in the golden corpus");
 }
 
-proplite! {
-    #![config(cases = 20)]
-    #[test]
-    fn vm_and_thread_backends_are_bit_identical(
-        ranks in 3usize..9,
-        iters in 1u64..4,
-        granularity_us in 1u32..400,
-        msg_bytes in 1usize..600,
-        fanout in 1usize..3,
-        barrier in any::<bool>(),
-        wildcard in any::<bool>(),
-        reduce in any::<bool>()
-    ) {
-        let s = Script {
-            ranks, iters, granularity_us, msg_bytes, fanout, barrier, wildcard, reduce,
-        };
-        let (vm, vm_bcs_events, vm_q_events) = observe(s, Backend::Vm);
-        let (th, th_bcs_events, th_q_events) = observe(s, Backend::Threads);
-        prop_assert_eq!(&vm, &th);
-        prop_assert_eq!(vm_bcs_events, th_bcs_events);
-        prop_assert_eq!(vm_q_events, th_q_events);
-
-        let header = s.header();
-        let recs = golden_records();
-        let golden = recs.iter().find(|r| r.lines().next() == Some(header.as_str()));
-        prop_assert!(golden.is_some(), "script missing from the golden corpus: {header}");
-        prop_assert_eq!(golden.unwrap(), &th);
+#[test]
+fn vm_replays_the_frozen_thread_backend_corpus() {
+    for (i, golden) in golden_records().iter().enumerate() {
+        let script = Script::parse(golden.lines().next().expect("non-empty record"));
+        let got = observe(script);
+        for (g, v) in golden.lines().zip(got.lines()) {
+            assert_eq!(v, g, "record {i} diverges from the golden corpus");
+        }
+        assert_eq!(got.lines().count(), golden.lines().count(), "record {i} shape");
     }
 }

@@ -1,7 +1,7 @@
-//! Property: the batched `CoHarness` handoff is unobservable in virtual
+//! Property: the batched rank-harness handoff is unobservable in virtual
 //! time.
 //!
-//! [`mpi_api::Mpi::batch`] promises that a batch of calls is fed to the
+//! [`mpi_api::AsyncMpi::batch`] promises that a batch of calls is fed to the
 //! engine at the exact virtual instants a sequential caller would have
 //! issued them, so per-rank results *and* the job's elapsed virtual time
 //! must be bit-identical between the batched and unbatched forms of the
@@ -68,7 +68,7 @@ fn unbatched(s: Script) -> impl RankProgram<Out = u64> {
 }
 
 /// The same schedule with each iteration's calls folded into one
-/// [`mpi_api::Mpi::batch`] handoff (the previous iteration's waitall
+/// [`mpi_api::AsyncMpi::batch`] handoff (the previous iteration's waitall
 /// rides in the next batch, like `apps::synthetic::neighbor_loop`).
 fn batched(s: Script) -> impl RankProgram<Out = u64> {
     move |mut mpi: AsyncMpi| async move {

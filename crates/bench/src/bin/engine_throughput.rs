@@ -26,8 +26,9 @@
 use bcs_mpi::match_index::reference::LinearRecvList;
 use bcs_mpi::match_index::{RecvIndex, RecvSel, SendKey};
 use bench::micro::Micro;
+use mpi_api::AsyncMpi;
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{JobLayout, RunOpts, run_job, run_job_hooked};
+use mpi_api::runtime::{Backend, JobLayout, RunOpts, run_program, run_program_hooked};
 use simcore::{Sim, SimDuration, SimTime};
 use std::hint::black_box;
 
@@ -35,10 +36,10 @@ fn idle_slices() -> u64 {
     // 100 ms of virtual time = 200 empty slices on a 16-node cluster:
     // measures the strobe/poll machinery cost.
     let layout = JobLayout::new(16, 2, 32);
-    let out = run_job(
+    let out = run_program(
         bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout),
         layout,
-        |mpi| mpi.compute(SimDuration::millis(100)),
+        |mut mpi: AsyncMpi| async move { mpi.compute(SimDuration::millis(100)).await },
     );
     black_box(out.events)
 }
@@ -46,19 +47,22 @@ fn idle_slices() -> u64 {
 fn burst_62ranks() -> u64 {
     // 62-rank allreduce + neighbour exchange: end-to-end engine cost.
     let layout = JobLayout::crescendo(62);
-    let out = run_job(
+    let out = run_program(
         bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout),
         layout,
-        |mpi| {
+        |mut mpi: AsyncMpi| async move {
             let peer = (mpi.rank() + 1) % mpi.size();
             let from = (mpi.rank() + mpi.size() - 1) % mpi.size();
-            let s = mpi.isend(peer, 1, &[0u8; 4096]);
-            let r = mpi.irecv(
-                mpi_api::message::SrcSel::Rank(from),
-                mpi_api::message::TagSel::Tag(1),
-            );
-            mpi.waitall(&[s, r]);
+            let s = mpi.isend(peer, 1, &[0u8; 4096]).await;
+            let r = mpi
+                .irecv(
+                    mpi_api::message::SrcSel::Rank(from),
+                    mpi_api::message::TagSel::Tag(1),
+                )
+                .await;
+            mpi.waitall(&[s, r]).await;
             mpi.allreduce_i64(mpi_api::datatype::ReduceOp::Sum, &[1])
+                .await
         },
     );
     black_box(out.events)
@@ -147,22 +151,25 @@ fn checkpoint_image_fixture() -> bcs_mpi::CheckpointImage {
     let mut cfg = bcs_mpi::BcsConfig::default();
     cfg.checkpoint_every = Some(1);
     cfg.checkpoint_images = true;
-    let out = run_job_hooked(
+    let out = run_program_hooked(
         bcs_mpi::BcsMpi::new(cfg, &layout),
         layout,
-        |mpi| {
+        |mut mpi: AsyncMpi| async move {
             let peer = (mpi.rank() + 1) % mpi.size();
             let from = (mpi.rank() + mpi.size() - 1) % mpi.size();
             for it in 0..3i32 {
-                let s0 = mpi.isend(peer, it * 2, &vec![0x5Au8; 1024 * 1024]);
-                let s1 = mpi.isend(peer, it * 2 + 1, &vec![0xA5u8; 1024 * 1024]);
-                let r0 = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it * 2));
-                let r1 = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it * 2 + 1));
-                mpi.waitall(&[s0, s1, r0, r1]);
+                let s0 = mpi.isend(peer, it * 2, &vec![0x5Au8; 1024 * 1024]).await;
+                let s1 = mpi
+                    .isend(peer, it * 2 + 1, &vec![0xA5u8; 1024 * 1024])
+                    .await;
+                let r0 = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it * 2)).await;
+                let r1 = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it * 2 + 1)).await;
+                mpi.waitall(&[s0, s1, r0, r1]).await;
             }
         },
         |w, _| w.set_recording(true),
         RunOpts::default(),
+        Backend::Vm,
     );
     assert!(out.completed, "fixture job must complete");
     let img = out

@@ -39,7 +39,7 @@
 //!   |            | completions ([`mpi_api::runtime::RuntimeImage`])        |
 //!
 //!   Restoring builds a fresh engine from the image and *replays* each rank
-//!   coroutine through its recorded responses (process memory is exactly a
+//!   program through its recorded responses (process memory is exactly a
 //!   function of the responses delivered so far, so the replay is the
 //!   simulation analogue of the NM's process-memory snapshot), then resumes
 //!   the strobe loop at the captured boundary on the original absolute
@@ -285,7 +285,7 @@ impl BcsMpi {
     /// degradations) is deliberately *not* part of an image — restore means
     /// the machine is whole again, and a fault-injection driver re-arms
     /// whatever faults remain on its plan. Pair with
-    /// `mpi_api::runtime::resume_job` and
+    /// `mpi_api::runtime::resume_program` and
     /// [`crate::resume_from_boundary`] as the kickoff.
     pub fn restore_from_image(
         cfg: BcsConfig,

@@ -4,9 +4,10 @@
 //! collectives, and determinism.
 
 use bcs_mpi::{BcsConfig, BcsMpi};
+use mpi_api::AsyncMpi;
 use mpi_api::datatype::ReduceOp;
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{JobLayout, run_job};
+use mpi_api::runtime::{JobLayout, run_program};
 use simcore::SimDuration;
 
 fn engine(layout: &JobLayout) -> BcsMpi {
@@ -20,19 +21,19 @@ fn blocking_pingpong_costs_slices_not_microseconds() {
     // The heart of the paper's §3.1: a blocking primitive suspends until the
     // first slice boundary after the transfer completes — 1.5 slices mean.
     let layout = JobLayout::new(2, 1, 2);
-    let out = run_job(engine(&layout), layout, |mpi| {
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         let iters = 20u64;
-        let t0 = mpi.now();
+        let t0 = mpi.now().await;
         for _ in 0..iters {
             if mpi.rank() == 0 {
-                mpi.send(1, 7, &[0u8; 8]);
-                mpi.recv_from(1, 8);
+                mpi.send(1, 7, &[0u8; 8]).await;
+                mpi.recv_from(1, 8).await;
             } else {
-                mpi.recv_from(0, 7);
-                mpi.send(0, 8, &[0u8; 8]);
+                mpi.recv_from(0, 7).await;
+                mpi.send(0, 8, &[0u8; 8]).await;
             }
         }
-        mpi.now().since(t0).as_micros_f64() / iters as f64
+        mpi.now().await.since(t0).as_micros_f64() / iters as f64
     });
     let per_iter = out.results[0];
     // Each iteration = one send + one recv, each at least 1 full slice of
@@ -48,14 +49,14 @@ fn blocking_delay_averages_about_1_5_slices() {
     // Post blocking sends at uniformly distributed offsets inside slices:
     // the measured post-to-restart delay must average ~1.5 slices (§3.1).
     let layout = JobLayout::new(2, 1, 2);
-    let out = run_job(engine(&layout), layout, |mpi| {
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         for i in 0..40u64 {
             // Prime-ish offsets spread posts across slice interiors.
-            mpi.compute(SimDuration::micros(137 + (i * 211) % 457));
+            mpi.compute(SimDuration::micros(137 + (i * 211) % 457)).await;
             if mpi.rank() == 0 {
-                mpi.send(1, 1, &[0u8; 64]);
+                mpi.send(1, 1, &[0u8; 64]).await;
             } else {
-                mpi.recv(SrcSel::Rank(0), TagSel::Tag(1));
+                mpi.recv(SrcSel::Rank(0), TagSel::Tag(1)).await;
             }
         }
     });
@@ -73,17 +74,17 @@ fn nonblocking_fully_overlaps_with_computation() {
     // §3.2: with isend/irecv posted before the compute, the exchange costs
     // (almost) nothing — communication rides the slices under the compute.
     let layout = JobLayout::new(2, 1, 2);
-    let out = run_job(engine(&layout), layout, |mpi| {
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         let peer = 1 - mpi.rank();
-        let t0 = mpi.now();
+        let t0 = mpi.now().await;
         for _ in 0..10 {
-            let s = mpi.isend(peer, 3, &[1u8; 4096]);
-            let r = mpi.irecv(SrcSel::Rank(peer), TagSel::Tag(3));
-            mpi.compute(SimDuration::millis(10));
-            let res = mpi.waitall(&[s, r]);
+            let s = mpi.isend(peer, 3, &[1u8; 4096]).await;
+            let r = mpi.irecv(SrcSel::Rank(peer), TagSel::Tag(3)).await;
+            mpi.compute(SimDuration::millis(10)).await;
+            let res = mpi.waitall(&[s, r]).await;
             assert_eq!(res[1].0.as_ref().unwrap().len(), 4096);
         }
-        mpi.now().since(t0).as_millis_f64()
+        mpi.now().await.since(t0).as_millis_f64()
     });
     for r in &out.results {
         // 100 ms of compute; overlap should keep overhead under 2%.
@@ -98,16 +99,16 @@ fn nonblocking_fully_overlaps_with_computation() {
 fn large_message_is_chunked_across_slices() {
     let layout = JobLayout::new(2, 1, 2);
     let mb = 1024 * 1024usize;
-    let out = run_job(engine(&layout), layout, move |mpi| {
+    let out = run_program(engine(&layout), layout, move |mut mpi: AsyncMpi| async move {
         if mpi.rank() == 0 {
-            mpi.send(1, 1, &vec![5u8; mb]);
+            mpi.send(1, 1, &vec![5u8; mb]).await;
             0.0
         } else {
-            let t0 = mpi.now();
-            let d = mpi.recv_from(0, 1);
+            let t0 = mpi.now().await;
+            let d = mpi.recv_from(0, 1).await;
             assert_eq!(d.len(), mb);
             assert!(d.iter().all(|&b| b == 5));
-            mpi.now().since(t0).as_millis_f64()
+            mpi.now().await.since(t0).as_millis_f64()
         }
     });
     let st = &out.engine.stats;
@@ -128,12 +129,12 @@ fn large_message_is_chunked_across_slices() {
 #[test]
 fn barrier_and_collectives_work_at_62_ranks() {
     let layout = JobLayout::crescendo(62);
-    let out = run_job(engine(&layout), layout, |mpi| {
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         let me = mpi.rank();
-        mpi.barrier();
-        let sum = mpi.allreduce_i64(ReduceOp::Sum, &[me as i64])[0];
-        let bc = mpi.bcast(5, (me == 5).then(|| vec![9u8; 256]).as_deref());
-        let mx = mpi.reduce_f64(0, ReduceOp::Max, &[me as f64 * 1.5]);
+        mpi.barrier().await;
+        let sum = mpi.allreduce_i64(ReduceOp::Sum, &[me as i64]).await[0];
+        let bc = mpi.bcast(5, (me == 5).then(|| vec![9u8; 256]).as_deref()).await;
+        let mx = mpi.reduce_f64(0, ReduceOp::Max, &[me as f64 * 1.5]).await;
         (sum, bc.len(), mx.map(|v| v[0]))
     });
     for (r, (sum, bclen, mx)) in out.results.iter().enumerate() {
@@ -156,12 +157,12 @@ fn collective_latency_is_slice_quantized() {
     // A barrier in BCS-MPI costs a couple of slices (descriptor slice +
     // scheduling + execution + restart), not microseconds.
     let layout = JobLayout::new(4, 2, 8);
-    let out = run_job(engine(&layout), layout, |mpi| {
-        let t0 = mpi.now();
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
+        let t0 = mpi.now().await;
         for _ in 0..10 {
-            mpi.barrier();
+            mpi.barrier().await;
         }
-        mpi.now().since(t0).as_micros_f64() / 10.0
+        mpi.now().await.since(t0).as_micros_f64() / 10.0
     });
     // Back-to-back barriers post right at the restart boundary, so each is
     // picked up by the very next strobe: exactly one slice in steady state.
@@ -175,11 +176,11 @@ fn collective_latency_is_slice_quantized() {
 #[test]
 fn wildcards_and_non_overtaking() {
     let layout = JobLayout::new(4, 1, 4);
-    let out = run_job(engine(&layout), layout, |mpi| {
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         if mpi.rank() == 0 {
             let mut from = vec![];
             for _ in 0..6 {
-                let (data, st) = mpi.recv(SrcSel::Any, TagSel::Any);
+                let (data, st) = mpi.recv(SrcSel::Any, TagSel::Any).await;
                 assert_eq!(data.len(), st.bytes);
                 from.push((st.source, st.tag, data));
             }
@@ -194,8 +195,8 @@ fn wildcards_and_non_overtaking() {
             }
             true
         } else {
-            mpi.send(0, 10, &vec![1u8; mpi.rank()]);
-            mpi.send(0, 20, &vec![2u8; mpi.rank()]);
+            mpi.send(0, 10, &vec![1u8; mpi.rank()]).await;
+            mpi.send(0, 20, &vec![2u8; mpi.rank()]).await;
             true
         }
     });
@@ -205,15 +206,15 @@ fn wildcards_and_non_overtaking() {
 #[test]
 fn probe_sees_descriptor_before_receive() {
     let layout = JobLayout::new(2, 1, 2);
-    run_job(engine(&layout), layout, |mpi| {
+    run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         if mpi.rank() == 0 {
-            let st = mpi.probe(SrcSel::Rank(1), TagSel::Any);
+            let st = mpi.probe(SrcSel::Rank(1), TagSel::Any).await;
             assert_eq!(st.tag, 77);
             assert_eq!(st.bytes, 3);
-            let d = mpi.recv_from(1, 77);
+            let d = mpi.recv_from(1, 77).await;
             assert_eq!(d, vec![7u8; 3]);
         } else {
-            mpi.send(0, 77, &[7u8; 3]);
+            mpi.send(0, 77, &[7u8; 3]).await;
         }
     });
 }
@@ -221,12 +222,12 @@ fn probe_sees_descriptor_before_receive() {
 #[test]
 fn zero_byte_message() {
     let layout = JobLayout::new(2, 1, 2);
-    let out = run_job(engine(&layout), layout, |mpi| {
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         if mpi.rank() == 0 {
-            mpi.send(1, 1, &[]);
+            mpi.send(1, 1, &[]).await;
             true
         } else {
-            let (d, st) = mpi.recv(SrcSel::Rank(0), TagSel::Tag(1));
+            let (d, st) = mpi.recv(SrcSel::Rank(0), TagSel::Tag(1)).await;
             d.is_empty() && st.bytes == 0
         }
     });
@@ -236,16 +237,16 @@ fn zero_byte_message() {
 #[test]
 fn composed_collectives_over_bcs() {
     let layout = JobLayout::new(4, 2, 8);
-    let out = run_job(engine(&layout), layout, |mpi| {
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         let me = mpi.rank();
         let n = mpi.size();
-        let ag = mpi.allgather(&[me as u8]);
+        let ag = mpi.allgather(&[me as u8]).await;
         assert_eq!(
             ag.iter().map(|c| c[0]).collect::<Vec<u8>>(),
             (0..n as u8).collect::<Vec<u8>>()
         );
         let send: Vec<Vec<u8>> = (0..n).map(|d| vec![(me * n + d) as u8]).collect();
-        let got = mpi.alltoall(&send);
+        let got = mpi.alltoall(&send).await;
         for (s, c) in got.iter().enumerate() {
             assert_eq!(c[0], (s * n + me) as u8);
         }
@@ -258,17 +259,17 @@ fn composed_collectives_over_bcs() {
 fn deterministic_replay() {
     let run = || {
         let layout = JobLayout::new(8, 2, 16);
-        run_job(engine(&layout), layout, |mpi| {
+        run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
             let peer = (mpi.rank() + 1) % mpi.size();
             let from = (mpi.rank() + mpi.size() - 1) % mpi.size();
             for _ in 0..4 {
-                let s = mpi.isend(peer, 1, &[0u8; 2048]);
-                let r = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(1));
-                mpi.compute(SimDuration::micros(1300));
-                mpi.waitall(&[s, r]);
-                mpi.allreduce_i64(ReduceOp::Sum, &[1]);
+                let s = mpi.isend(peer, 1, &[0u8; 2048]).await;
+                let r = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(1)).await;
+                mpi.compute(SimDuration::micros(1300)).await;
+                mpi.waitall(&[s, r]).await;
+                mpi.allreduce_i64(ReduceOp::Sum, &[1]).await;
             }
-            mpi.now().as_nanos()
+            mpi.now().await.as_nanos()
         })
         .results
     };
@@ -286,18 +287,22 @@ fn values_match_baseline_bitexactly() {
     let run_bcs = {
         let c = contributions.clone();
         let layout = JobLayout::new(8, 2, 16);
-        run_job(engine(&layout), layout, move |mpi| {
-            mpi.allreduce_f64(ReduceOp::Sum, &[c[mpi.rank()], 1.5])
+        run_program(engine(&layout), layout, move |mut mpi: AsyncMpi| {
+            let c = c.clone();
+            async move { mpi.allreduce_f64(ReduceOp::Sum, &[c[mpi.rank()], 1.5]).await }
         })
         .results
     };
     let run_base = {
         let c = contributions.clone();
         let layout = JobLayout::new(8, 2, 16);
-        run_job(
+        run_program(
             quadrics_mpi::QuadricsMpi::new(quadrics_mpi::QuadricsConfig::default(), &layout),
             layout,
-            move |mpi| mpi.allreduce_f64(ReduceOp::Sum, &[c[mpi.rank()], 1.5]),
+            move |mut mpi: AsyncMpi| {
+                let c = c.clone();
+                async move { mpi.allreduce_f64(ReduceOp::Sum, &[c[mpi.rank()], 1.5]).await }
+            },
         )
         .results
     };
@@ -310,12 +315,12 @@ fn values_match_baseline_bitexactly() {
 #[test]
 fn slice_statistics_accumulate() {
     let layout = JobLayout::new(2, 1, 2);
-    let out = run_job(engine(&layout), layout, |mpi| {
-        mpi.compute(SimDuration::millis(5));
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
+        mpi.compute(SimDuration::millis(5)).await;
         if mpi.rank() == 0 {
-            mpi.send(1, 1, &[1u8; 128]);
+            mpi.send(1, 1, &[1u8; 128]).await;
         } else {
-            mpi.recv_from(0, 1);
+            mpi.recv_from(0, 1).await;
         }
     });
     let st = &out.engine.stats;
@@ -331,14 +336,14 @@ fn slice_trace_records_activity() {
     let layout = JobLayout::new(2, 1, 2);
     let mut cfg = BcsConfig::default();
     cfg.trace_slices = true;
-    let out = mpi_api::runtime::run_job(BcsMpi::new(cfg, &layout), layout, |mpi| {
-        mpi.compute(SimDuration::millis(2));
+    let out = mpi_api::runtime::run_program(BcsMpi::new(cfg, &layout), layout, |mut mpi: AsyncMpi| async move {
+        mpi.compute(SimDuration::millis(2)).await;
         if mpi.rank() == 0 {
-            mpi.send(1, 1, &[7u8; 2048]);
+            mpi.send(1, 1, &[7u8; 2048]).await;
         } else {
-            mpi.recv_from(0, 1);
+            mpi.recv_from(0, 1).await;
         }
-        mpi.barrier();
+        mpi.barrier().await;
     });
     let trace = &out.engine.trace;
     assert!(!trace.is_empty());
@@ -365,7 +370,7 @@ fn sendrecv_exchanges_without_deadlock() {
     // classic pattern that deadlocks with blocking sends but not with
     // MPI_Sendrecv.
     let layout = JobLayout::new(4, 2, 8);
-    let out = run_job(engine(&layout), layout, |mpi| {
+    let out = run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
         let n = mpi.size();
         let me = mpi.rank();
         let right = (me + 1) % n;
@@ -376,7 +381,7 @@ fn sendrecv_exchanges_without_deadlock() {
             &[me as u8; 16],
             SrcSel::Rank(left),
             TagSel::Tag(5),
-        );
+        ).await;
         assert_eq!(st.source, left);
         assert_eq!(data, vec![left as u8; 16]);
         true

@@ -16,7 +16,7 @@
 use bcs_mpi::{BcsConfig, BcsMpi};
 use faultsim::{FaultPlan, RecoveryCfg, fault_free_reference, run_with_recovery};
 use mpi_api::coll_sched::CollAlgo;
-use mpi_api::runtime::{JobLayout, RunResult, run_job};
+use mpi_api::runtime::{JobLayout, RunResult, run_program};
 use mpi_api::{AsyncMpi, ReduceOp};
 use proplite::prelude::*;
 use qsnet::{FabricKind, NodeId};
@@ -87,11 +87,11 @@ fn cfg_with(fabric: FabricKind, algo: CollAlgo, composite: bool) -> BcsConfig {
 fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
     let layout = layout_of(s);
     let s = s.clone();
-    run_job(BcsMpi::new(cfg, &layout), layout, move |mpi| {
+    run_program(BcsMpi::new(cfg, &layout), layout, move |mut mpi: AsyncMpi| async move {
         let me = mpi.rank();
         let mut acc: u64 = (me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let sub = if s.groups > 1 {
-            mpi.comm_split(None, (me % s.groups) as i64, me as i64)
+            mpi.comm_split(None, (me % s.groups) as i64, me as i64).await
         } else {
             None
         };
@@ -100,7 +100,7 @@ fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
             let bytes: Vec<u8> = (0..s.elems)
                 .map(|i| (s.root + it + i) as u8)
                 .collect();
-            let got = mpi.bcast(s.root, if me == s.root { Some(&bytes) } else { None });
+            let got = mpi.bcast(s.root, if me == s.root { Some(&bytes) } else { None }).await;
             for b in &got {
                 acc = acc.wrapping_mul(31).wrapping_add(*b as u64);
             }
@@ -108,19 +108,19 @@ fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
             let xs: Vec<f64> = (0..s.elems)
                 .map(|i| (me as f64 + 1.0) * 0.37 + i as f64 + it as f64 * 0.5)
                 .collect();
-            if let Some(r) = mpi.reduce_f64(s.root, s.op, &xs) {
+            if let Some(r) = mpi.reduce_f64(s.root, s.op, &xs).await {
                 for v in r {
                     acc ^= v.to_bits();
                 }
             }
-            for v in mpi.allreduce_f64(s.op, &xs) {
+            for v in mpi.allreduce_f64(s.op, &xs).await {
                 acc = acc.rotate_left(7) ^ v.to_bits();
             }
             // Engine-level allgatherv with genuinely uneven contributions.
             let mine: Vec<u8> = (0..1 + (me * 7 + it) % 23)
                 .map(|i| (me * 13 + i) as u8)
                 .collect();
-            for (src, part) in mpi.allgatherv_coll(&mine).iter().enumerate() {
+            for (src, part) in mpi.allgatherv_coll(&mine).await.iter().enumerate() {
                 acc = acc.wrapping_add((src as u64 + 1).wrapping_mul(1 + part.len() as u64));
                 for b in part {
                     acc = acc.wrapping_mul(31).wrapping_add(*b as u64);
@@ -128,21 +128,21 @@ fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
             }
             // The same collectives over a sub-communicator.
             if let Some(h) = &sub {
-                mpi.barrier_on(h);
-                let sb = mpi.bcast_on(h, 0, if h.rank == 0 { Some(&mine) } else { None });
+                mpi.barrier_on(h).await;
+                let sb = mpi.bcast_on(h, 0, if h.rank == 0 { Some(&mine) } else { None }).await;
                 for b in &sb {
                     acc = acc.wrapping_mul(29).wrapping_add(*b as u64);
                 }
-                for v in mpi.allreduce_f64_on(h, s.op, &xs) {
+                for v in mpi.allreduce_f64_on(h, s.op, &xs).await {
                     acc = acc.rotate_left(3) ^ v.to_bits();
                 }
-                for part in mpi.allgatherv_coll_on(h, &mine) {
+                for part in mpi.allgatherv_coll_on(h, &mine).await {
                     for b in part {
                         acc = acc.wrapping_mul(27).wrapping_add(b as u64);
                     }
                 }
             }
-            mpi.barrier();
+            mpi.barrier().await;
         }
         acc
     })

@@ -58,8 +58,6 @@ pub struct RecoveryCfg {
     pub max_restarts: usize,
     /// Per-segment run options (virtual-time horizon).
     pub opts: RunOpts,
-    /// Rank-program backend for every segment (default: the stackless VM).
-    pub backend: Backend,
 }
 
 impl RecoveryCfg {
@@ -79,7 +77,6 @@ impl RecoveryCfg {
             opts: RunOpts {
                 max_virtual: Some(SimDuration::secs(60)),
             },
-            backend: Backend::default(),
         }
     }
 }
@@ -179,7 +176,7 @@ where
                 inject(w, sim, &crashes0, &plan0, hb, SimTime::ZERO);
             },
             cfg.opts.clone(),
-            cfg.backend,
+            Backend::Vm,
         )
     };
 
@@ -266,7 +263,6 @@ where
                 inject(w, sim, &remaining, &planr, hb, monitor_at);
             },
             cfg.opts.clone(),
-            cfg.backend,
         );
     }
 }

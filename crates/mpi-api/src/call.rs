@@ -167,7 +167,7 @@ impl MpiCall {
     }
 
     /// Whether the call is a non-blocking post answered by exactly one
-    /// [`MpiResp::Req`] — what [`crate::ctx::Mpi::post_batch`] accepts.
+    /// [`MpiResp::Req`] — what [`crate::ctx::AsyncMpi::post_batch`] accepts.
     pub fn is_nonblocking_post(&self) -> bool {
         matches!(
             self,

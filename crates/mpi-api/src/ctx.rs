@@ -1,4 +1,4 @@
-//! [`AsyncMpi`] / [`Mpi`] — the handles a rank program uses.
+//! [`AsyncMpi`] — the handle a rank program uses.
 //!
 //! The engine-backed primitives (point-to-point, probe/test/wait, barrier,
 //! bcast, reduce/allreduce) each cross to the engine as one [`MpiCall`].
@@ -9,31 +9,18 @@
 //! primitives ... are implemented in the NIC while the rest of them are
 //! built on top of those").
 //!
-//! All MPI logic lives in [`AsyncMpi`], whose `async` methods suspend at
-//! every engine handoff. It runs over either [`Conduit`]:
-//!
-//! * **VM** — a [`simcore::VmChannel`]; awaiting a call parks the rank's
-//!   state machine (`Poll::Pending`) until the runtime delivers the
-//!   response. No OS thread is involved.
-//! * **Thread** — a [`simcore::ProcessHandle`]; the call blocks the rank's
-//!   cooperative thread and the future never observes `Pending`.
-//!
-//! [`Mpi`] is the synchronous facade over the thread conduit: each method
-//! drives the corresponding `AsyncMpi` future with [`ready`], which is
-//! guaranteed to complete in one poll because the thread conduit resolves
-//! every call synchronously. Keeping one implementation behind both
-//! surfaces is what makes the VM/thread backend equivalence structural
-//! rather than aspirational: there is no second copy of the call-ordering
-//! logic to drift.
+//! Every method is `async`: awaiting an engine handoff posts the call on
+//! the rank's [`simcore::VmChannel`] and parks the rank's state machine
+//! (`Poll::Pending`) until the runtime delivers the response. No OS thread
+//! is involved, so a job's rank count is bounded by memory alone.
 
 use crate::call::{MpiCall, MpiResp, ReqId};
 use crate::comm::{CommHandle, CommId};
 use crate::datatype::{self, Datatype, ReduceOp};
 use crate::message::{SrcSel, Status, TagSel};
-use simcore::{ProcessHandle, SimDuration, SimTime, VmChannel};
+use simcore::{SimDuration, SimTime, VmChannel};
 use std::future::Future;
 use std::pin::Pin;
-use std::task::{Context, Poll, Waker};
 
 /// Base of the tag space reserved for composed collectives. User tags must
 /// be non-negative (asserted), so no collision is possible.
@@ -41,31 +28,9 @@ const COLL_TAG_BASE: i32 = i32::MIN / 2;
 /// Collective sequence numbers wrap well before tag overflow.
 const COLL_SEQ_MOD: i32 = 1 << 20;
 
-/// How a rank's calls reach the simulator: parked OS thread or stackless VM.
-enum Conduit {
-    Thread(ProcessHandle<MpiCall, MpiResp>),
-    Vm(VmChannel<MpiCall, MpiResp>),
-}
-
-/// Drive a future that is known to complete without suspending (every
-/// engine handoff resolves synchronously on the thread conduit).
-pub(crate) fn ready<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = Context::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => unreachable!(
-            "synchronous Mpi facade suspended; blocking-style programs run only on the thread conduit"
-        ),
-    }
-}
-
 /// A rank program as data: booted once per rank into a stackless state
 /// machine (a future) that the runtime steps through the [`MpiCall`] /
-/// [`MpiResp`] protocol. The same program value boots every rank of a job
-/// — and, on the thread backend, the identical future is simply driven to
-/// completion on the rank's cooperative thread, which is what makes the
-/// two backends bit-for-bit comparable.
+/// [`MpiResp`] protocol. The same program value boots every rank of a job.
 ///
 /// Any `Fn(AsyncMpi) -> impl Future` closure is a `RankProgram` via the
 /// blanket impl; write programs as
@@ -91,34 +56,19 @@ where
     }
 }
 
-/// MPI context of one simulated rank (suspending flavour; see the module
-/// docs for how it relates to [`Mpi`]).
+/// MPI context of one simulated rank.
 pub struct AsyncMpi {
-    chan: Conduit,
+    chan: VmChannel<MpiCall, MpiResp>,
     rank: usize,
     size: usize,
     coll_seq: i32,
 }
 
 impl AsyncMpi {
-    /// Context over a cooperative-thread handle (calls block the thread).
-    pub fn from_thread(
-        handle: ProcessHandle<MpiCall, MpiResp>,
-        rank: usize,
-        size: usize,
-    ) -> AsyncMpi {
-        AsyncMpi {
-            chan: Conduit::Thread(handle),
-            rank,
-            size,
-            coll_seq: 0,
-        }
-    }
-
     /// Context over a VM channel (calls suspend the rank's state machine).
-    pub fn from_vm(chan: VmChannel<MpiCall, MpiResp>, rank: usize, size: usize) -> AsyncMpi {
+    pub fn new(chan: VmChannel<MpiCall, MpiResp>, rank: usize, size: usize) -> AsyncMpi {
         AsyncMpi {
-            chan: Conduit::Vm(chan),
+            chan,
             rank,
             size,
             coll_seq: 0,
@@ -138,10 +88,7 @@ impl AsyncMpi {
     }
 
     async fn call(&mut self, call: MpiCall) -> MpiResp {
-        match &mut self.chan {
-            Conduit::Thread(h) => h.call(call),
-            Conduit::Vm(ch) => ch.call(call).await,
-        }
+        self.chan.call(call).await
     }
 
     /// Post several non-blocking operations (isend/irecv) in **one**
@@ -908,309 +855,5 @@ impl AsyncMpi {
     /// Non-blocking send of a typed `f64` slice.
     pub async fn isend_f64(&mut self, dest: usize, tag: i32, xs: &[f64]) -> ReqId {
         self.isend(dest, tag, &datatype::to_bytes_f64(xs)).await
-    }
-}
-
-/// MPI context of one simulated rank, blocking flavour: the handle rank
-/// programs written as plain closures (`Fn(&mut Mpi) -> R`) use. A thin
-/// facade over [`AsyncMpi`] on the thread conduit — every method body is
-/// `ready(self.inner.method(..))`, so there is exactly one implementation
-/// of each MPI operation.
-pub struct Mpi {
-    inner: AsyncMpi,
-}
-
-impl Mpi {
-    pub fn new(handle: ProcessHandle<MpiCall, MpiResp>, rank: usize, size: usize) -> Mpi {
-        Mpi {
-            inner: AsyncMpi::from_thread(handle, rank, size),
-        }
-    }
-
-    /// This process's rank in the job.
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    /// Number of ranks in the job (MPI_COMM_WORLD size).
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    /// See [`AsyncMpi::post_batch`].
-    pub fn post_batch(&mut self, calls: Vec<MpiCall>) -> Vec<ReqId> {
-        ready(self.inner.post_batch(calls))
-    }
-
-    /// See [`AsyncMpi::batch`].
-    pub fn batch(&mut self, calls: Vec<MpiCall>) -> Vec<MpiResp> {
-        ready(self.inner.batch(calls))
-    }
-
-    /// See [`AsyncMpi::compute_then_barrier`].
-    pub fn compute_then_barrier(&mut self, d: SimDuration) {
-        ready(self.inner.compute_then_barrier(d))
-    }
-
-    /// Build a `Compute` descriptor for [`Self::batch`].
-    pub fn compute_desc(&self, d: SimDuration) -> MpiCall {
-        self.inner.compute_desc(d)
-    }
-
-    /// Build an `MPI_Barrier` (MPI_COMM_WORLD) descriptor for
-    /// [`Self::batch`].
-    pub fn barrier_desc(&self) -> MpiCall {
-        self.inner.barrier_desc()
-    }
-
-    /// Build an `MPI_Waitall` descriptor for [`Self::batch`].
-    pub fn waitall_desc(&self, reqs: &[ReqId]) -> MpiCall {
-        self.inner.waitall_desc(reqs)
-    }
-
-    /// Build an `MPI_Isend` descriptor for [`Self::post_batch`].
-    pub fn isend_desc(&self, dest: usize, tag: i32, data: &[u8]) -> MpiCall {
-        self.inner.isend_desc(dest, tag, data)
-    }
-
-    /// Build an `MPI_Irecv` descriptor for [`Self::post_batch`].
-    pub fn irecv_desc(&self, src: SrcSel, tag: TagSel) -> MpiCall {
-        self.inner.irecv_desc(src, tag)
-    }
-
-    /// Spend `d` of virtual CPU time computing.
-    pub fn compute(&mut self, d: SimDuration) {
-        ready(self.inner.compute(d))
-    }
-
-    /// Current virtual time (MPI_Wtime).
-    pub fn now(&mut self) -> SimTime {
-        ready(self.inner.now())
-    }
-
-    /// MPI_Send (blocking).
-    pub fn send(&mut self, dest: usize, tag: i32, data: &[u8]) {
-        ready(self.inner.send(dest, tag, data))
-    }
-
-    /// MPI_Isend (non-blocking).
-    pub fn isend(&mut self, dest: usize, tag: i32, data: &[u8]) -> ReqId {
-        ready(self.inner.isend(dest, tag, data))
-    }
-
-    /// MPI_Recv (blocking). Returns the payload and its status.
-    pub fn recv(&mut self, src: SrcSel, tag: TagSel) -> (Vec<u8>, Status) {
-        ready(self.inner.recv(src, tag))
-    }
-
-    /// Blocking receive from an exact source/tag (the common case).
-    pub fn recv_from(&mut self, src: usize, tag: i32) -> Vec<u8> {
-        ready(self.inner.recv_from(src, tag))
-    }
-
-    /// See [`AsyncMpi::sendrecv`].
-    pub fn sendrecv(
-        &mut self,
-        dest: usize,
-        send_tag: i32,
-        data: &[u8],
-        src: SrcSel,
-        recv_tag: TagSel,
-    ) -> (Vec<u8>, Status) {
-        ready(self.inner.sendrecv(dest, send_tag, data, src, recv_tag))
-    }
-
-    /// MPI_Irecv (non-blocking).
-    pub fn irecv(&mut self, src: SrcSel, tag: TagSel) -> ReqId {
-        ready(self.inner.irecv(src, tag))
-    }
-
-    /// MPI_Wait: returns the receive payload (None for a send request).
-    pub fn wait(&mut self, req: ReqId) -> (Option<Vec<u8>>, Option<Status>) {
-        ready(self.inner.wait(req))
-    }
-
-    /// Wait on a receive request, unwrapping the payload.
-    pub fn wait_recv(&mut self, req: ReqId) -> (Vec<u8>, Status) {
-        ready(self.inner.wait_recv(req))
-    }
-
-    /// MPI_Test: `None` if the request is still in flight.
-    pub fn test(&mut self, req: ReqId) -> Option<(Option<Vec<u8>>, Option<Status>)> {
-        ready(self.inner.test(req))
-    }
-
-    /// MPI_Waitall: results in the order of `reqs`.
-    pub fn waitall(&mut self, reqs: &[ReqId]) -> Vec<(Option<Vec<u8>>, Option<Status>)> {
-        ready(self.inner.waitall(reqs))
-    }
-
-    /// MPI_Testall: `None` (and nothing consumed) unless all complete.
-    pub fn testall(&mut self, reqs: &[ReqId]) -> Option<Vec<(Option<Vec<u8>>, Option<Status>)>> {
-        ready(self.inner.testall(reqs))
-    }
-
-    /// MPI_Probe (blocking): status of the first matching message.
-    pub fn probe(&mut self, src: SrcSel, tag: TagSel) -> Status {
-        ready(self.inner.probe(src, tag))
-    }
-
-    /// MPI_Iprobe: `None` if no matching message has arrived.
-    pub fn iprobe(&mut self, src: SrcSel, tag: TagSel) -> Option<Status> {
-        ready(self.inner.iprobe(src, tag))
-    }
-
-    /// MPI_Barrier (world).
-    pub fn barrier(&mut self) {
-        ready(self.inner.barrier())
-    }
-
-    /// MPI_Barrier over a sub-communicator.
-    pub fn barrier_on(&mut self, comm: &CommHandle) {
-        ready(self.inner.barrier_on(comm))
-    }
-
-    /// See [`AsyncMpi::bcast`].
-    pub fn bcast(&mut self, root: usize, data: Option<&[u8]>) -> Vec<u8> {
-        ready(self.inner.bcast(root, data))
-    }
-
-    /// MPI_Bcast over a sub-communicator; `root` is a communicator rank.
-    pub fn bcast_on(&mut self, comm: &CommHandle, root: usize, data: Option<&[u8]>) -> Vec<u8> {
-        ready(self.inner.bcast_on(comm, root, data))
-    }
-
-    /// MPI_Reduce: result only on the root.
-    pub fn reduce(
-        &mut self,
-        root: usize,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: &[u8],
-    ) -> Option<Vec<u8>> {
-        ready(self.inner.reduce(root, op, dtype, data))
-    }
-
-    /// MPI_Allreduce (world).
-    pub fn allreduce(&mut self, op: ReduceOp, dtype: Datatype, data: &[u8]) -> Vec<u8> {
-        ready(self.inner.allreduce(op, dtype, data))
-    }
-
-    /// MPI_Allreduce over a sub-communicator.
-    pub fn allreduce_on(
-        &mut self,
-        comm: &CommHandle,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: &[u8],
-    ) -> Vec<u8> {
-        ready(self.inner.allreduce_on(comm, op, dtype, data))
-    }
-
-    /// See [`AsyncMpi::comm_split`].
-    pub fn comm_split(
-        &mut self,
-        parent: Option<&CommHandle>,
-        color: i64,
-        key: i64,
-    ) -> Option<CommHandle> {
-        ready(self.inner.comm_split(parent, color, key))
-    }
-
-    /// See [`AsyncMpi::alltoallv_on`].
-    pub fn alltoallv_on(&mut self, comm: &CommHandle, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        ready(self.inner.alltoallv_on(comm, chunks))
-    }
-
-    /// MPI_Allgatherv over a sub-communicator (indexed by communicator rank).
-    pub fn allgatherv_on(&mut self, comm: &CommHandle, data: &[u8]) -> Vec<Vec<u8>> {
-        ready(self.inner.allgatherv_on(comm, data))
-    }
-
-    /// See [`AsyncMpi::allgatherv_coll`].
-    pub fn allgatherv_coll(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
-        ready(self.inner.allgatherv_coll(data))
-    }
-
-    /// See [`AsyncMpi::allgatherv_coll_on`].
-    pub fn allgatherv_coll_on(&mut self, comm: &CommHandle, data: &[u8]) -> Vec<Vec<u8>> {
-        ready(self.inner.allgatherv_coll_on(comm, data))
-    }
-
-    /// Typed allreduce over a sub-communicator.
-    pub fn allreduce_f64_on(&mut self, comm: &CommHandle, op: ReduceOp, xs: &[f64]) -> Vec<f64> {
-        ready(self.inner.allreduce_f64_on(comm, op, xs))
-    }
-
-    /// See [`AsyncMpi::scatterv`].
-    pub fn scatterv(&mut self, root: usize, chunks: Option<&[Vec<u8>]>) -> Vec<u8> {
-        ready(self.inner.scatterv(root, chunks))
-    }
-
-    /// MPI_Scatter: equal-size chunks.
-    pub fn scatter(&mut self, root: usize, chunks: Option<&[Vec<u8>]>) -> Vec<u8> {
-        ready(self.inner.scatter(root, chunks))
-    }
-
-    /// See [`AsyncMpi::gatherv`].
-    pub fn gatherv(&mut self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        ready(self.inner.gatherv(root, data))
-    }
-
-    /// MPI_Gather (equal sizes enforced at the root).
-    pub fn gather(&mut self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        ready(self.inner.gather(root, data))
-    }
-
-    /// See [`AsyncMpi::allgatherv`].
-    pub fn allgatherv(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
-        ready(self.inner.allgatherv(data))
-    }
-
-    /// MPI_Allgather (equal sizes).
-    pub fn allgather(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
-        ready(self.inner.allgather(data))
-    }
-
-    /// See [`AsyncMpi::alltoallv`].
-    pub fn alltoallv(&mut self, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        ready(self.inner.alltoallv(chunks))
-    }
-
-    /// MPI_Alltoall (equal sizes).
-    pub fn alltoall(&mut self, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        ready(self.inner.alltoall(chunks))
-    }
-
-    /// Allreduce over `f64` values.
-    pub fn allreduce_f64(&mut self, op: ReduceOp, xs: &[f64]) -> Vec<f64> {
-        ready(self.inner.allreduce_f64(op, xs))
-    }
-
-    /// Allreduce over `i64` values.
-    pub fn allreduce_i64(&mut self, op: ReduceOp, xs: &[i64]) -> Vec<i64> {
-        ready(self.inner.allreduce_i64(op, xs))
-    }
-
-    /// Reduce over `f64` values (result on root only).
-    pub fn reduce_f64(&mut self, root: usize, op: ReduceOp, xs: &[f64]) -> Option<Vec<f64>> {
-        ready(self.inner.reduce_f64(root, op, xs))
-    }
-
-    /// Send a typed `f64` slice.
-    pub fn send_f64(&mut self, dest: usize, tag: i32, xs: &[f64]) {
-        ready(self.inner.send_f64(dest, tag, xs))
-    }
-
-    /// Blocking receive of a typed `f64` slice from an exact source.
-    pub fn recv_f64(&mut self, src: usize, tag: i32) -> Vec<f64> {
-        ready(self.inner.recv_f64(src, tag))
-    }
-
-    /// Non-blocking send of a typed `f64` slice.
-    pub fn isend_f64(&mut self, dest: usize, tag: i32, xs: &[f64]) -> ReqId {
-        ready(self.inner.isend_f64(dest, tag, xs))
     }
 }

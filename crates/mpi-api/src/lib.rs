@@ -10,21 +10,19 @@
 //!   combine used by the host-side baseline reduction);
 //! * [`message`] — ranks, tags, statuses, envelope matching (including
 //!   `ANY_SOURCE` / `ANY_TAG` wildcards and the non-overtaking rule);
-//! * [`call`] — the request/response protocol between simulated rank
-//!   threads and the engine (`MpiCall` / `MpiResp`), mirroring the BCS API
+//! * [`call`] — the request/response protocol between simulated ranks and
+//!   the engine (`MpiCall` / `MpiResp`), mirroring the BCS API
 //!   of the paper's Appendix A;
-//! * [`ctx`] — [`ctx::AsyncMpi`] / [`ctx::Mpi`], the handles rank programs
-//!   use: blocking and non-blocking point-to-point, barrier/bcast/reduce/
+//! * [`ctx`] — [`ctx::AsyncMpi`], the handle rank programs use: blocking and non-blocking point-to-point, barrier/bcast/reduce/
 //!   allreduce (engine primitives, NIC-level in BCS-MPI), and scatter(v)/
 //!   gather(v)/allgather(v)/alltoall(v) composed on top of the primitives,
 //!   exactly as Appendix A prescribes ("the rest of them are built on top
 //!   of those"); plus [`ctx::RankProgram`], a rank program as data;
 //! * [`runtime`] — [`runtime::Engine`] (the trait an MPI implementation
 //!   provides), [`runtime::ClusterWorld`] (harness + engine world) and
-//!   the job drivers: [`runtime::run_program`] steps each rank as a
-//!   stackless state machine ([`runtime::Backend::Vm`], scales to
-//!   thousands of ranks), while [`runtime::run_job`] retains the
-//!   one-cooperative-thread-per-rank reference backend.
+//!   the job drivers: [`runtime::run_program`] and its variants step each
+//!   rank as a stackless state machine, which scales to thousands of
+//!   ranks.
 
 pub mod call;
 pub mod coll_sched;
@@ -40,9 +38,7 @@ pub use call::{MpiCall, MpiResp, ReqId};
 pub use coll_sched::CollAlgo;
 pub use payload::Payload;
 pub use comm::{CommHandle, CommId, CommRegistry};
-pub use ctx::{AsyncMpi, Mpi, RankProgram};
+pub use ctx::{AsyncMpi, RankProgram};
 pub use datatype::{Datatype, ReduceOp};
 pub use message::{Envelope, SrcSel, Status, TagSel};
-pub use runtime::{
-    Backend, ClusterWorld, Engine, JobLayout, RunResult, run_job, run_program,
-};
+pub use runtime::{Backend, ClusterWorld, Engine, JobLayout, RunResult, run_program};

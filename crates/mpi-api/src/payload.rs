@@ -10,8 +10,8 @@
 //! last holder takes the allocation back for free, while a shared holder
 //! pays the one clone that mutation actually requires.
 //!
-//! `Arc` (not `Rc`) because responses cross the coroutine harness's
-//! OS-thread boundary (`CoHarness` requires `Resp: Send`).
+//! `Arc` (not `Rc`) so payloads — and the calls, responses, engines and
+//! checkpoint images that hold them — stay `Send`.
 
 use std::fmt;
 use std::sync::Arc;

@@ -1,18 +1,15 @@
 //! The cluster runtime: engine trait, world, and job driver.
 //!
 //! One simulation = one [`ClusterWorld`] (the engine plus the rank harness)
-//! driven by one [`simcore::Sim`]. Rank programs run on one of two
-//! [`Backend`]s behind the same yield protocol:
+//! driven by one [`simcore::Sim`]. Each rank is a stackless state machine
+//! ([`simcore::VmHarness`]) booted from a [`RankProgram`] and stepped in
+//! place by the drain loop. No OS threads, no per-rank stacks: n = 4096
+//! ranks cost 4096 heap-allocated futures, so job size is bounded by
+//! memory, not by the host's thread limit.
 //!
-//! * [`Backend::Vm`] (default for program-based entry points) — each rank
-//!   is a stackless state machine ([`simcore::VmHarness`]) stepped in place
-//!   by the drain loop. No OS threads, no per-rank stacks: n = 4096 ranks
-//!   cost 4096 heap-allocated futures, so job size is bounded by memory,
-//!   not by the host's thread limit.
-//! * [`Backend::Threads`] — the original cooperative harness
-//!   ([`simcore::CoHarness`]), one parked OS thread per rank. Retained as
-//!   the executable reference implementation; the backend-equivalence suite
-//!   checks the two produce bit-identical results.
+//! Entry points: [`run_program`], [`run_program_opts`] (virtual-time
+//! horizon), [`run_program_hooked`] (setup hook, non-panicking outcome) and
+//! [`resume_program`] (restart from a checkpoint image).
 //!
 //! Every [`MpiCall`] a rank issues is dispatched to the engine, which
 //! completes it immediately or later by scheduling a resume. The drain loop
@@ -22,9 +19,9 @@
 //! drained at the top level ([`drain`]) rather than recursing.
 
 use crate::call::{MpiCall, MpiResp};
-use crate::ctx::{ready, AsyncMpi, Mpi, RankProgram};
+use crate::ctx::{AsyncMpi, RankProgram};
 use qsnet::NodeId;
-use simcore::{CoHarness, ProcId, ProcYield, Sim, SimDuration, SimTime, SpawnError, VmChannel, VmHarness};
+use simcore::{ProcId, ProcYield, Sim, SimDuration, SimTime, VmChannel, VmHarness};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -113,45 +110,15 @@ pub trait Engine: Sized + 'static {
     }
 }
 
-/// Which rank-execution substrate a job runs on (see the module docs).
+/// Which rank-execution substrate a job runs on. The stackless VM is the
+/// only one; the type survives, with its single variant, because the
+/// repository benchmark (`perfbench/src/workloads.rs`) names it in its
+/// calls to [`run_program_hooked`], whose signature it pins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Stackless state-machine ranks; scales to thousands of ranks.
     #[default]
     Vm,
-    /// One parked OS thread per rank; the executable reference.
-    Threads,
-}
-
-/// The per-rank harness behind the yield protocol — the only place the two
-/// backends differ. Both expose the same resume/take_result surface and
-/// identical panic behaviour, so the driver below is backend-agnostic.
-enum RankHarness {
-    Threads(CoHarness<MpiCall, MpiResp>),
-    Vm(VmHarness<MpiCall, MpiResp>),
-}
-
-impl RankHarness {
-    fn new(backend: Backend) -> RankHarness {
-        match backend {
-            Backend::Threads => RankHarness::Threads(CoHarness::new()),
-            Backend::Vm => RankHarness::Vm(VmHarness::new()),
-        }
-    }
-
-    fn resume(&mut self, pid: ProcId, resp: MpiResp) -> ProcYield<MpiCall> {
-        match self {
-            RankHarness::Threads(h) => h.resume(pid, resp),
-            RankHarness::Vm(h) => h.resume(pid, resp),
-        }
-    }
-
-    fn take_result<R: Send + 'static>(&mut self, pid: ProcId) -> Option<R> {
-        match self {
-            RankHarness::Threads(h) => h.take_result::<R>(pid),
-            RankHarness::Vm(h) => h.take_result::<R>(pid),
-        }
-    }
 }
 
 /// In-flight state of one rank's [`MpiCall::Batch`]: the sub-calls not yet
@@ -171,7 +138,7 @@ pub struct BatchState {
 pub struct ClusterWorld<E: Engine> {
     pub engine: E,
     pub layout: JobLayout,
-    harness: RankHarness,
+    harness: VmHarness<MpiCall, MpiResp>,
     pending: VecDeque<(usize, MpiResp)>,
     pub finished: usize,
     finish_times: Vec<Option<SimTime>>,
@@ -254,19 +221,13 @@ impl RespLog {
 }
 
 impl<E: Engine> ClusterWorld<E> {
-    /// World on the thread backend — the constructor the closure-based
-    /// [`run_job`] family uses.
+    /// World with an empty rank harness; ranks are spawned by the drivers.
     pub fn new(engine: E, layout: JobLayout) -> ClusterWorld<E> {
-        ClusterWorld::with_backend(engine, layout, Backend::Threads)
-    }
-
-    /// World on an explicit [`Backend`].
-    pub fn with_backend(engine: E, layout: JobLayout, backend: Backend) -> ClusterWorld<E> {
         let ranks = layout.ranks;
         ClusterWorld {
             engine,
             layout,
-            harness: RankHarness::new(backend),
+            harness: VmHarness::new(),
             pending: VecDeque::new(),
             finished: 0,
             finish_times: vec![None; ranks],
@@ -304,7 +265,7 @@ impl<E: Engine> ClusterWorld<E> {
     /// the full per-rank response history, every scheduled-but-undelivered
     /// completion, and per-rank finish times. Together with an engine-state
     /// snapshot this is sufficient to reconstruct the whole simulation on
-    /// the original (absolute) timeline — see [`resume_job`].
+    /// the original (absolute) timeline — see [`resume_program`].
     ///
     /// Takes `&mut self` because capturing seals each rank's response-log
     /// tail into a shared chunk (see [`RespLog`]) — the capture's cost is
@@ -497,7 +458,7 @@ where
     }
 }
 
-/// Outcome of [`run_job`].
+/// Outcome of [`run_program`].
 pub struct RunResult<R, E> {
     /// Per-rank program return values, indexed by rank.
     pub results: Vec<R>,
@@ -511,7 +472,7 @@ pub struct RunResult<R, E> {
     pub events: u64,
 }
 
-/// Options for [`run_job_opts`].
+/// Options for [`run_program_opts`].
 #[derive(Clone, Debug, Default)]
 pub struct RunOpts {
     /// Abort (panic) if virtual time exceeds this bound — catches protocol
@@ -519,109 +480,25 @@ pub struct RunOpts {
     pub max_virtual: Option<SimDuration>,
 }
 
-/// How the generic driver instantiates one rank: the only seam between the
-/// closure world (`Fn(&mut Mpi)`, thread backend only) and the program
-/// world ([`RankProgram`], either backend).
-trait Spawner {
-    type Out: Send + 'static;
-
-    fn spawn_rank(
-        &self,
-        harness: &mut RankHarness,
-        rank: usize,
-        size: usize,
-    ) -> Result<(ProcId, ProcYield<MpiCall>), SpawnError>;
+/// Boot `program` for `rank` into the harness and run it to its first
+/// yield — the one spawn path shared by [`run_program_hooked`] and
+/// [`resume_program`].
+fn spawn_rank<P: RankProgram>(
+    harness: &mut VmHarness<MpiCall, MpiResp>,
+    program: &P,
+    rank: usize,
+    size: usize,
+) -> ProcYield<MpiCall> {
+    let chan: VmChannel<MpiCall, MpiResp> = VmChannel::new();
+    let mpi = AsyncMpi::new(chan.clone(), rank, size);
+    let (pid, y) = harness.spawn(chan, program.boot(mpi));
+    assert_eq!(pid.0, rank, "rank ids must be dense");
+    y
 }
 
-/// Spawner for blocking-style closure programs. These need a real call
-/// stack to block on, so they run only on [`Backend::Threads`].
-struct ClosureSpawner<F>(Arc<F>);
-
-impl<R, F> Spawner for ClosureSpawner<F>
-where
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-{
-    type Out = R;
-
-    fn spawn_rank(
-        &self,
-        harness: &mut RankHarness,
-        rank: usize,
-        size: usize,
-    ) -> Result<(ProcId, ProcYield<MpiCall>), SpawnError> {
-        let RankHarness::Threads(co) = harness else {
-            unreachable!("closure programs run only on the thread backend")
-        };
-        let prog = Arc::clone(&self.0);
-        co.try_spawn(format!("rank{rank}"), move |h| {
-            let mut mpi = Mpi::new(h, rank, size);
-            prog(&mut mpi)
-        })
-    }
-}
-
-/// Spawner for [`RankProgram`]s: boots the program's future into a VM slot,
-/// or drives the identical future to completion on a cooperative thread.
-struct ProgramSpawner<P>(Arc<P>);
-
-impl<P: RankProgram> Spawner for ProgramSpawner<P> {
-    type Out = P::Out;
-
-    fn spawn_rank(
-        &self,
-        harness: &mut RankHarness,
-        rank: usize,
-        size: usize,
-    ) -> Result<(ProcId, ProcYield<MpiCall>), SpawnError> {
-        match harness {
-            RankHarness::Vm(vm) => {
-                let chan: VmChannel<MpiCall, MpiResp> = VmChannel::new();
-                let mpi = AsyncMpi::from_vm(chan.clone(), rank, size);
-                Ok(vm.spawn(chan, self.0.boot(mpi)))
-            }
-            RankHarness::Threads(co) => {
-                let prog = Arc::clone(&self.0);
-                co.try_spawn(format!("rank{rank}"), move |h| {
-                    let mpi = AsyncMpi::from_thread(h, rank, size);
-                    ready(prog.boot(mpi))
-                })
-            }
-        }
-    }
-}
-
-/// Run `program` as an MPI job of `layout.ranks` ranks over `engine`.
-///
-/// The program closure receives an [`Mpi`] context; its return value is
-/// collected per rank. Panics with a diagnostic if the job deadlocks.
-/// Runs on [`Backend::Threads`]; the scalable entry point is
-/// [`run_program`].
-pub fn run_job<E, R, F>(engine: E, layout: JobLayout, program: F) -> RunResult<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-{
-    run_job_opts(engine, layout, program, RunOpts::default())
-}
-
-/// [`run_job`] with explicit options.
-pub fn run_job_opts<E, R, F>(
-    engine: E,
-    layout: JobLayout,
-    program: F,
-    opts: RunOpts,
-) -> RunResult<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-{
-    expect_complete(run_job_hooked(engine, layout, program, |_, _| {}, opts))
-}
-
-/// Run a [`RankProgram`] job on the default backend ([`Backend::Vm`]).
+/// Run `program` as an MPI job of `layout.ranks` ranks over `engine`,
+/// collecting each rank's return value. Panics with a diagnostic if the job
+/// deadlocks.
 pub fn run_program<E, P>(engine: E, layout: JobLayout, program: P) -> RunResult<P::Out, E>
 where
     E: Engine,
@@ -641,33 +518,17 @@ where
     E: Engine,
     P: RankProgram,
 {
-    run_program_on(engine, layout, program, opts, Backend::default())
-}
-
-/// [`run_program`] with explicit options and backend. Panics with a
-/// diagnostic if the job deadlocks or a rank cannot be spawned.
-pub fn run_program_on<E, P>(
-    engine: E,
-    layout: JobLayout,
-    program: P,
-    opts: RunOpts,
-    backend: Backend,
-) -> RunResult<P::Out, E>
-where
-    E: Engine,
-    P: RankProgram,
-{
     expect_complete(run_program_hooked(
         engine,
         layout,
         program,
         |_, _| {},
         opts,
-        backend,
+        Backend::Vm,
     ))
 }
 
-/// Panicking conversion shared by the infallible entry points.
+/// Panicking conversion behind [`run_program_opts`].
 fn expect_complete<R, E>(out: RunOutcome<R, E>) -> RunResult<R, E> {
     if !out.completed {
         panic!(
@@ -693,9 +554,9 @@ fn expect_complete<R, E>(out: RunOutcome<R, E>) -> RunResult<R, E> {
     }
 }
 
-/// Outcome of [`run_job_hooked`] / [`resume_job`]: like [`RunResult`] but
-/// non-panicking, so a halted run (node failure, horizon, rank-spawn
-/// failure) can be inspected and recovered instead of aborting the process.
+/// Outcome of [`run_program_hooked`] / [`resume_program`]: like
+/// [`RunResult`] but non-panicking, so a halted run (node failure, horizon)
+/// can be inspected and recovered instead of aborting the process.
 pub struct RunOutcome<R, E> {
     /// True when every rank's program returned.
     pub completed: bool,
@@ -713,35 +574,10 @@ pub struct RunOutcome<R, E> {
     pub diagnostic: Option<String>,
 }
 
-/// [`run_job_opts`]'s engine room, with two extra capabilities: a `setup`
-/// hook that runs after `bootstrap` but before any rank executes (fault
-/// injection, monitors, response recording), and a non-panicking outcome —
-/// the run also stops when [`Engine::halted`] turns true.
-pub fn run_job_hooked<E, R, F, S>(
-    engine: E,
-    layout: JobLayout,
-    program: F,
-    setup: S,
-    opts: RunOpts,
-) -> RunOutcome<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-{
-    run_hooked_inner(
-        engine,
-        layout,
-        ClosureSpawner(Arc::new(program)),
-        setup,
-        opts,
-        Backend::Threads,
-    )
-}
-
-/// [`run_program_on`]'s engine room: [`run_job_hooked`] for
-/// [`RankProgram`]s, on an explicit backend.
+/// [`run_program_opts`]'s engine room, with two extra capabilities: a
+/// `setup` hook that runs after `bootstrap` but before any rank executes
+/// (fault injection, monitors, response recording), and a non-panicking
+/// outcome — the run also stops when [`Engine::halted`] turns true.
 pub fn run_program_hooked<E, P, S>(
     engine: E,
     layout: JobLayout,
@@ -755,48 +591,18 @@ where
     P: RankProgram,
     S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
 {
-    run_hooked_inner(
-        engine,
-        layout,
-        ProgramSpawner(Arc::new(program)),
-        setup,
-        opts,
-        backend,
-    )
-}
-
-/// Backend- and program-representation-agnostic driver body shared by
-/// [`run_job_hooked`] and [`run_program_hooked`] — one copy of the spawn /
-/// dispatch / drain logic, so the two entry families cannot drift.
-fn run_hooked_inner<E, Sp, S>(
-    engine: E,
-    layout: JobLayout,
-    spawner: Sp,
-    setup: S,
-    opts: RunOpts,
-    backend: Backend,
-) -> RunOutcome<Sp::Out, E>
-where
-    E: Engine,
-    Sp: Spawner,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-{
+    let Backend::Vm = backend;
     let mut sim: Sim<ClusterWorld<E>> = Sim::new();
     if let Some(mv) = opts.max_virtual {
         sim.set_horizon(SimTime::ZERO + mv);
     }
-    let mut w = ClusterWorld::with_backend(engine, layout.clone(), backend);
+    let mut w = ClusterWorld::new(engine, layout.clone());
     E::bootstrap(&mut w, &mut sim);
     setup(&mut w, &mut sim);
 
     let size = layout.ranks;
     for rank in 0..size {
-        let (pid, y) = match spawner.spawn_rank(&mut w.harness, rank, size) {
-            Ok(sp) => sp,
-            Err(e) => return spawn_failure_outcome(w, sim, rank, e),
-        };
-        assert_eq!(pid.0, rank, "rank ids must be dense");
-        match y {
+        match spawn_rank(&mut w.harness, &program, rank, size) {
             ProcYield::Request(call) => dispatch_call(&mut w, &mut sim, rank, call),
             ProcYield::Finished(_) => {
                 w.finished += 1;
@@ -809,34 +615,6 @@ where
     finish_run(w, sim)
 }
 
-/// A rank could not be spawned (thread backend hitting the host's thread
-/// limit). Surface a structured diagnostic instead of aborting — the world
-/// (and its already-spawned ranks) is torn down by dropping it.
-fn spawn_failure_outcome<E: Engine, R>(
-    w: ClusterWorld<E>,
-    sim: Sim<ClusterWorld<E>>,
-    rank: usize,
-    err: SpawnError,
-) -> RunOutcome<R, E> {
-    let size = w.layout.ranks;
-    let ClusterWorld {
-        engine,
-        finish_times,
-        ..
-    } = w;
-    RunOutcome {
-        completed: false,
-        results: (0..size).map(|_| None).collect(),
-        elapsed: sim.now().since(SimTime::ZERO),
-        finish_times,
-        engine,
-        events: sim.events_executed(),
-        diagnostic: Some(format!(
-            "MPI job could not start: failed to spawn rank {rank} of {size}: {err}"
-        )),
-    }
-}
-
 /// Resume a job from a checkpoint: `engine` must already be restored to the
 /// image's state, `rt` is the matching [`RuntimeImage`], and `kickoff` is
 /// scheduled at the capture instant to restart the protocol (in BCS-MPI,
@@ -846,38 +624,6 @@ fn spawn_failure_outcome<E: Engine, R>(
 /// restored engine state — leaving each rank parked exactly where the
 /// checkpoint caught it. The simulation then continues on the original
 /// absolute timeline.
-pub fn resume_job<E, R, F, S, K>(
-    engine: E,
-    layout: JobLayout,
-    program: F,
-    rt: &RuntimeImage,
-    kickoff: K,
-    setup: S,
-    opts: RunOpts,
-) -> RunOutcome<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-    K: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
-{
-    resume_inner(
-        engine,
-        layout,
-        ClosureSpawner(Arc::new(program)),
-        rt,
-        kickoff,
-        setup,
-        opts,
-        Backend::Threads,
-    )
-}
-
-/// [`resume_job`] for [`RankProgram`]s, on an explicit backend. Checkpoint
-/// replay works identically on VM-resident rank state: the response log is
-/// fed to the re-booted state machines exactly as it is to re-spawned
-/// threads.
 pub fn resume_program<E, P, S, K>(
     engine: E,
     layout: JobLayout,
@@ -886,41 +632,10 @@ pub fn resume_program<E, P, S, K>(
     kickoff: K,
     setup: S,
     opts: RunOpts,
-    backend: Backend,
 ) -> RunOutcome<P::Out, E>
 where
     E: Engine,
     P: RankProgram,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-    K: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
-{
-    resume_inner(
-        engine,
-        layout,
-        ProgramSpawner(Arc::new(program)),
-        rt,
-        kickoff,
-        setup,
-        opts,
-        backend,
-    )
-}
-
-/// Shared body of [`resume_job`] / [`resume_program`].
-#[allow(clippy::too_many_arguments)]
-fn resume_inner<E, Sp, S, K>(
-    engine: E,
-    layout: JobLayout,
-    spawner: Sp,
-    rt: &RuntimeImage,
-    kickoff: K,
-    setup: S,
-    opts: RunOpts,
-    backend: Backend,
-) -> RunOutcome<Sp::Out, E>
-where
-    E: Engine,
-    Sp: Spawner,
     S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
     K: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
 {
@@ -931,7 +646,7 @@ where
     if let Some(mv) = opts.max_virtual {
         sim.set_horizon(SimTime::ZERO + mv);
     }
-    let mut w = ClusterWorld::with_backend(engine, layout.clone(), backend);
+    let mut w = ClusterWorld::new(engine, layout.clone());
     // No bootstrap: the restored engine state already contains the
     // protocol's standing state; `kickoff` restarts its event loop.
     w.record_resps = true;
@@ -939,15 +654,12 @@ where
     w.batches = rt.batches.clone();
 
     for rank in 0..size {
-        let (pid, first) = match spawner.spawn_rank(&mut w.harness, rank, size) {
-            Ok(sp) => sp,
-            Err(e) => return spawn_failure_outcome(w, sim, rank, e),
-        };
-        assert_eq!(pid.0, rank, "rank ids must be dense");
-        let mut y = first;
+        let mut y = spawn_rank(&mut w.harness, &program, rank, size);
         for resp in rt.resp_log[rank].iter() {
             match y {
-                ProcYield::Request(_) => y = w.harness.resume(pid, resp.clone()),
+                ProcYield::Request(_) => {
+                    y = w.harness.resume(ProcId(rank), resp.clone())
+                }
                 ProcYield::Finished(_) => {
                     panic!("rank {rank} finished before its response log was exhausted")
                 }
@@ -1115,10 +827,11 @@ mod tests {
     }
 
     #[test]
-    fn run_job_collects_results_and_times() {
+    fn run_program_collects_results_and_times() {
         let layout = JobLayout::new(4, 2, 8);
-        let out = run_job(NullEngine, layout, |mpi| {
-            mpi.compute(SimDuration::micros(100 * (mpi.rank() as u64 + 1)));
+        let out = run_program(NullEngine, layout, |mut mpi: AsyncMpi| async move {
+            mpi.compute(SimDuration::micros(100 * (mpi.rank() as u64 + 1)))
+                .await;
             mpi.rank() * 10
         });
         assert_eq!(out.results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
@@ -1133,28 +846,30 @@ mod tests {
     #[test]
     fn virtual_clock_visible_to_ranks() {
         let layout = JobLayout::new(1, 1, 1);
-        let out = run_job(NullEngine, layout, |mpi| {
-            let t0 = mpi.now();
-            mpi.compute(SimDuration::millis(3));
-            let t1 = mpi.now();
+        let out = run_program(NullEngine, layout, |mut mpi: AsyncMpi| async move {
+            let t0 = mpi.now().await;
+            mpi.compute(SimDuration::millis(3)).await;
+            let t1 = mpi.now().await;
             t1.since(t0)
         });
         assert_eq!(out.results[0], SimDuration::millis(3));
+    }
+
+    /// Rank 1 computes past the horizon.
+    async fn rank1_overruns(mut mpi: AsyncMpi) {
+        if mpi.rank() == 1 {
+            mpi.compute(SimDuration::secs(10)).await;
+        }
     }
 
     #[test]
     #[should_panic(expected = "did not complete")]
     fn horizon_reports_stuck_ranks() {
         let layout = JobLayout::new(1, 2, 2);
-        run_job_opts(
+        run_program_opts(
             NullEngine,
             layout,
-            |mpi| {
-                // Rank 1 computes past the horizon.
-                if mpi.rank() == 1 {
-                    mpi.compute(SimDuration::secs(10));
-                }
-            },
+            rank1_overruns,
             RunOpts {
                 max_virtual: Some(SimDuration::secs(1)),
             },
@@ -1166,18 +881,15 @@ mod tests {
     #[test]
     fn diagnostic_names_stuck_ranks_and_calls() {
         let layout = JobLayout::new(1, 2, 2);
-        let out = run_job_hooked(
+        let out = run_program_hooked(
             NullEngine,
             layout,
-            |mpi: &mut Mpi| {
-                if mpi.rank() == 1 {
-                    mpi.compute(SimDuration::secs(10));
-                }
-            },
+            rank1_overruns,
             |_, _| {},
             RunOpts {
                 max_virtual: Some(SimDuration::secs(1)),
             },
+            Backend::Vm,
         );
         assert!(!out.completed);
         let d = out.diagnostic.expect("incomplete run must carry a diagnostic");
@@ -1188,40 +900,8 @@ mod tests {
         assert!(!d.contains("rank 0:"), "rank 0 finished and must not be listed:\n{d}");
     }
 
-    /// Same program, same engine, both backends: identical results, finish
-    /// times, and event counts.
-    #[test]
-    fn vm_backend_matches_thread_backend() {
-        let prog = |mut mpi: AsyncMpi| async move {
-            mpi.compute(SimDuration::micros(100 * (mpi.rank() as u64 + 1)))
-                .await;
-            let t = mpi.now().await;
-            (mpi.rank() * 10, t)
-        };
-        let layout = JobLayout::new(4, 2, 8);
-        let vm = run_program_on(
-            NullEngine,
-            layout.clone(),
-            prog,
-            RunOpts::default(),
-            Backend::Vm,
-        );
-        let th = run_program_on(
-            NullEngine,
-            layout,
-            prog,
-            RunOpts::default(),
-            Backend::Threads,
-        );
-        assert_eq!(vm.results, th.results);
-        assert_eq!(vm.finish_times, th.finish_times);
-        assert_eq!(vm.elapsed, th.elapsed);
-        assert_eq!(vm.events, th.events);
-        assert_eq!(vm.results[3].0, 30);
-    }
-
-    /// The VM backend runs a rank count that would need thousands of OS
-    /// threads on the reference backend.
+    /// The VM runs a rank count that one-OS-thread-per-rank execution could
+    /// not: 4096 ranks cost 4096 futures, not 4096 stacks.
     #[test]
     fn vm_backend_scales_past_thread_counts() {
         let n: usize = 4096;

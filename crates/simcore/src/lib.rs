@@ -7,10 +7,11 @@
 //!   ordered by `(time, sequence-number)` and therefore **fully
 //!   deterministic**: two runs with the same inputs produce identical event
 //!   interleavings and identical virtual-time results;
-//! * [`coro::CoHarness`] — a cooperative process harness that lets simulated
-//!   application processes be written in natural blocking style (each runs on
-//!   its own parked OS thread, with a strict lock-step handoff to the
-//!   simulator, so there is never more than one runnable thread);
+//! * [`vm::VmHarness`] — the stackless process harness: each simulated
+//!   application process is an `async` state machine stepped in place on
+//!   the simulator thread, exchanging requests and responses with it in
+//!   strict lock-step, so there is never more than one runnable process
+//!   and no OS thread per process;
 //! * [`rng::SimRng`] — a tiny, self-contained, splittable PRNG
 //!   (splitmix64/xoshiro256**) whose stream is stable forever, independent of
 //!   external crate versions;
@@ -21,15 +22,13 @@
 //! `bcs-core`, `bcs-mpi`, `quadrics-mpi`) supply the world state `W` and the
 //! event closures.
 
-pub mod coro;
 pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod vm;
 
-pub use coro::{CoHarness, ProcId, ProcYield, ProcessHandle, SpawnError};
-pub use vm::{VmChannel, VmHarness};
+pub use vm::{ProcId, ProcYield, VmChannel, VmHarness};
 pub use rng::SimRng;
 pub use sim::Sim;
 pub use time::{SimDuration, SimTime};

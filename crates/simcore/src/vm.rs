@@ -1,13 +1,13 @@
 //! Stackless rank-program VM.
 //!
-//! [`VmHarness`] is the scale-capable sibling of [`crate::coro::CoHarness`]:
-//! instead of parking one 1 MiB-stack OS thread per simulated process, each
-//! process is a compiled state machine (a Rust `Future`) stepped in place on
-//! the simulator thread. A rank's entire control state — program counter and
+//! [`VmHarness`] runs simulated processes without OS threads: each process
+//! is a compiled state machine (a Rust `Future`) stepped in place on the
+//! simulator thread. A rank's entire control state — program counter and
 //! typed locals — lives inside the future, so a 4096-rank job costs 4096
-//! heap objects instead of 4096 OS threads.
+//! heap objects instead of 4096 parked threads with their stacks.
 //!
-//! The request/response protocol is identical to the thread harness:
+//! Processes talk to the simulator through a lock-step request/response
+//! protocol:
 //!
 //! ```text
 //! simulator (single thread)            rank future
@@ -20,10 +20,10 @@
 //! A rank may suspend **only** inside [`VmChannel::call`]; suspending
 //! anywhere else (a foreign future that returns `Pending` without posting a
 //! request) is a protocol violation and panics. At most one request is in
-//! flight per rank, mirroring the lock-step handoff of the thread harness,
-//! so the two backends observe bit-identical call/response sequences.
+//! flight per rank, so the call/response sequence each rank observes is a
+//! pure function of the responses the simulator delivers — which is what
+//! makes checkpoint replay (re-feeding recorded responses) exact.
 
-use crate::coro::{ProcId, ProcYield, panic_message};
 use std::any::Any;
 use std::cell::RefCell;
 use std::future::Future;
@@ -31,6 +31,24 @@ use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+
+/// Identifier of a simulated process within one harness (dense, 0-based).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct ProcId(pub usize);
+
+impl std::fmt::Display for ProcId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "P{}", self.0)
+    }
+}
+
+/// What a process did when it last ran.
+pub enum ProcYield<Req> {
+    /// The process issued a request and is now blocked awaiting the response.
+    Request(Req),
+    /// The process's closure returned; the boxed value is its result.
+    Finished(Box<dyn Any + Send>),
+}
 
 /// The single-slot mailbox shared between one rank future and the harness.
 struct VmCell<Req, Resp> {
@@ -40,9 +58,8 @@ struct VmCell<Req, Resp> {
     incoming: Option<Resp>,
 }
 
-/// A rank's capability to issue requests: the VM analogue of
-/// [`crate::coro::ProcessHandle`]. Clone one into the rank's future and hand
-/// the original to [`VmHarness::spawn`].
+/// A rank's capability to issue requests. Clone one into the rank's future
+/// and hand the original to [`VmHarness::spawn`].
 pub struct VmChannel<Req, Resp>(Rc<RefCell<VmCell<Req, Resp>>>);
 
 impl<Req, Resp> Clone for VmChannel<Req, Resp> {
@@ -122,10 +139,8 @@ struct VmSlot<Req, Resp> {
     result: Option<Box<dyn Any + Send>>,
 }
 
-/// Harness owning all stackless processes of one simulation. The API
-/// mirrors [`crate::coro::CoHarness`] exactly (spawn / resume / take_result
-/// and the same panic messages), so drivers can treat the two backends
-/// interchangeably.
+/// Harness owning all stackless processes of one simulation: spawn,
+/// resume, and collect results with [`take_result`](Self::take_result).
 pub struct VmHarness<Req, Resp> {
     slots: Vec<VmSlot<Req, Resp>>,
     live: usize,
@@ -226,7 +241,7 @@ impl<Req, Resp> VmHarness<Req, Resp> {
                 slot.fut = None;
                 self.live -= 1;
                 // Hand a placeholder back: callers match on Finished and
-                // must use take_result for the value (CoHarness parity).
+                // must use take_result for the value.
                 ProcYield::Finished(Box::new(()))
             }
             Ok(Poll::Pending) => {
@@ -264,6 +279,16 @@ impl<Req, Resp> VmHarness<Req, Resp> {
                 None
             }
         }
+    }
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
     }
 }
 

@@ -11,31 +11,32 @@
 //! deterministic: a second run produces bit-identical timing.
 
 use bcs_repro::bcs_mpi::{BcsConfig, BcsMpi};
+use bcs_repro::mpi_api::AsyncMpi;
 use bcs_repro::mpi_api::message::{SrcSel, TagSel};
-use bcs_repro::mpi_api::runtime::{JobLayout, run_job};
+use bcs_repro::mpi_api::runtime::{JobLayout, run_program};
 use bcs_repro::simcore::SimDuration;
 
 fn run_once() -> (Vec<u64>, bcs_repro::bcs_mpi::BcsStats, Vec<bcs_repro::bcs_mpi::SliceRecord>) {
     let layout = JobLayout::new(2, 1, 2);
     let mut cfg = BcsConfig::default();
     cfg.trace_slices = true;
-    let out = run_job(
+    let out = run_program(
         BcsMpi::new(cfg, &layout),
         layout,
-        |mpi| {
+        |mut mpi: AsyncMpi| async move {
             for i in 0..50u64 {
                 // Irregular compute offsets spread the posts across slice
                 // interiors, like a real application.
-                mpi.compute(SimDuration::micros(311 + (i * 173) % 441));
+                mpi.compute(SimDuration::micros(311 + (i * 173) % 441)).await;
                 if mpi.rank() == 0 {
-                    mpi.send(1, 1, &[42u8; 1024]);
-                    mpi.recv(SrcSel::Rank(1), TagSel::Tag(2));
+                    mpi.send(1, 1, &[42u8; 1024]).await;
+                    mpi.recv(SrcSel::Rank(1), TagSel::Tag(2)).await;
                 } else {
-                    mpi.recv(SrcSel::Rank(0), TagSel::Tag(1));
-                    mpi.send(0, 2, &[24u8; 1024]);
+                    mpi.recv(SrcSel::Rank(0), TagSel::Tag(1)).await;
+                    mpi.send(0, 2, &[24u8; 1024]).await;
                 }
             }
-            mpi.now().as_nanos()
+            mpi.now().await.as_nanos()
         },
     );
     (out.results, out.engine.stats, out.engine.trace)

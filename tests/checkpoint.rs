@@ -5,29 +5,30 @@
 
 use bcs_repro::bcs_mpi::{BcsConfig, BcsMpi};
 use bcs_repro::mpi_api::message::{SrcSel, TagSel};
-use bcs_repro::mpi_api::runtime::{JobLayout, RunOpts, run_job, run_job_hooked};
+use bcs_repro::mpi_api::AsyncMpi;
+use bcs_repro::mpi_api::runtime::{Backend, JobLayout, RunOpts, run_program, run_program_hooked};
 use bcs_repro::simcore::SimDuration;
 
 fn run_with_checkpoints(every: u64) -> (Vec<(u64, u64)>, Vec<u64>) {
     let layout = JobLayout::new(4, 2, 8);
     let mut cfg = BcsConfig::default();
     cfg.checkpoint_every = Some(every);
-    let out = run_job(BcsMpi::new(cfg, &layout), layout, |mpi| {
+    let out = run_program(BcsMpi::new(cfg, &layout), layout, |mut mpi: AsyncMpi| async move {
         let me = mpi.rank();
         let n = mpi.size();
         for it in 0..8u64 {
-            mpi.compute(SimDuration::micros(700 + 137 * (me as u64 + it)));
+            mpi.compute(SimDuration::micros(700 + 137 * (me as u64 + it))).await;
             let peer = (me + 1) % n;
             let from = (me + n - 1) % n;
             // Mix of large (chunked) and small traffic so checkpoints see
             // in-flight transfers.
             let sz = if it % 3 == 0 { 200 * 1024 } else { 512 };
-            let s = mpi.isend(peer, it as i32, &vec![it as u8; sz]);
-            let r = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it as i32));
-            let res = mpi.waitall(&[s, r]);
+            let s = mpi.isend(peer, it as i32, &vec![it as u8; sz]).await;
+            let r = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it as i32)).await;
+            let res = mpi.waitall(&[s, r]).await;
             assert!(res[1].0.is_some());
         }
-        mpi.now().as_nanos()
+        mpi.now().await.as_nanos()
     });
     (out.engine.checkpoints.clone(), out.results)
 }
@@ -57,11 +58,11 @@ fn captured_state_reflects_inflight_traffic() {
     let layout = JobLayout::new(2, 1, 2);
     let mut cfg = BcsConfig::default();
     cfg.checkpoint_every = Some(1);
-    let out = run_job(BcsMpi::new(cfg, &layout), layout, |mpi| {
+    let out = run_program(BcsMpi::new(cfg, &layout), layout, |mut mpi: AsyncMpi| async move {
         if mpi.rank() == 0 {
-            mpi.send(1, 1, &vec![9u8; 1024 * 1024]); // ~11 slices of chunks
+            mpi.send(1, 1, &vec![9u8; 1024 * 1024]).await; // ~11 slices of chunks
         } else {
-            let d = mpi.recv_from(0, 1);
+            let d = mpi.recv_from(0, 1).await;
             assert_eq!(d.len(), 1024 * 1024);
         }
     });
@@ -88,24 +89,25 @@ fn streaming_digest_matches_materialized_checkpoint() {
     let mut cfg = BcsConfig::default();
     cfg.checkpoint_every = Some(1);
     cfg.checkpoint_images = true;
-    let out = run_job_hooked(
+    let out = run_program_hooked(
         BcsMpi::new(cfg.clone(), &layout),
         layout.clone(),
-        |mpi| {
+        |mut mpi: AsyncMpi| async move {
             let me = mpi.rank();
             let n = mpi.size();
             for it in 0..6u64 {
-                mpi.compute(SimDuration::micros(500 + 211 * (me as u64 + it)));
+                mpi.compute(SimDuration::micros(500 + 211 * (me as u64 + it))).await;
                 let peer = (me + 1) % n;
                 let from = (me + n - 1) % n;
                 let sz = if it % 2 == 0 { 300 * 1024 } else { 256 };
-                let s = mpi.isend(peer, it as i32, &vec![it as u8; sz]);
-                let r = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it as i32));
-                mpi.waitall(&[s, r]);
+                let s = mpi.isend(peer, it as i32, &vec![it as u8; sz]).await;
+                let r = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it as i32)).await;
+                mpi.waitall(&[s, r]).await;
             }
         },
         |w, _| w.set_recording(true),
         RunOpts::default(),
+        Backend::Vm,
     );
     assert!(out.completed);
     let images = &out.engine.images;
@@ -129,14 +131,14 @@ fn quiescence_of_final_state() {
     // run_with_checkpoints already asserts correct payloads; a fresh engine
     // capture on a finished run must show empty queues.
     let layout = JobLayout::new(2, 1, 2);
-    let out = run_job(
+    let out = run_program(
         BcsMpi::new(BcsConfig::default(), &layout),
         layout,
-        |mpi| {
+        |mut mpi: AsyncMpi| async move {
             if mpi.rank() == 0 {
-                mpi.send(1, 1, b"x");
+                mpi.send(1, 1, b"x").await;
             } else {
-                mpi.recv_from(0, 1);
+                mpi.recv_from(0, 1).await;
             }
         },
     );

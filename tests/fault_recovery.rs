@@ -398,7 +398,6 @@ proplite! {
                 |w: &mut CW, sim: &mut Sim<CW>| bcs_repro::bcs_mpi::resume_from_boundary(w, sim),
                 |_: &mut CW, _: &mut Sim<CW>| {},
                 rc.opts.clone(),
-                Backend::default(),
             );
             prop_assert!(o.completed, "resume from slice {} failed", img.slice);
             outs.push((o.results, o.elapsed.as_nanos(), o.engine.checkpoints.clone()));

@@ -4,9 +4,9 @@
 //! modification."
 
 use bcs_repro::bcs_mpi::{BcsConfig, BcsMpi, GangConfig};
-use bcs_repro::mpi_api::Mpi;
+use bcs_repro::mpi_api::{AsyncMpi, RankProgram};
 use bcs_repro::mpi_api::datatype::ReduceOp;
-use bcs_repro::mpi_api::runtime::{JobLayout, run_job};
+use bcs_repro::mpi_api::runtime::{JobLayout, run_program};
 use bcs_repro::simcore::{SimDuration, SimTime};
 
 /// A blocking-heavy job: compute, then a *blocking* ring exchange scoped to
@@ -30,17 +30,17 @@ fn shared_gang(ranks: usize) -> GangConfig {
     }
 }
 
-fn two_job_program(steps: u64, compute: SimDuration) -> impl Fn(&mut Mpi) -> u64 + Send + Sync {
-    move |mpi| {
+fn two_job_program(steps: u64, compute: SimDuration) -> impl RankProgram<Out = u64> {
+    move |mut mpi: AsyncMpi| async move {
         let me = mpi.rank();
         let job = job_of(me) as i64;
-        let comm = mpi.comm_split(None, job, 0).expect("job communicator");
+        let comm = mpi.comm_split(None, job, 0).await.expect("job communicator");
         let n = comm.size();
         let my = comm.rank;
         let right = comm.world_rank((my + 1) % n);
         let left = comm.world_rank((my + n - 1) % n);
         for step in 0..steps {
-            mpi.compute(compute);
+            mpi.compute(compute).await;
             let tag = (step % 512) as i32;
             // Blocking exchange: suspends ~1.5 slices — the hole the other
             // job fills.
@@ -50,9 +50,9 @@ fn two_job_program(steps: u64, compute: SimDuration) -> impl Fn(&mut Mpi) -> u64
                 &[my as u8; 64],
                 bcs_repro::mpi_api::message::SrcSel::Rank(left),
                 bcs_repro::mpi_api::message::TagSel::Tag(tag),
-            );
+            ).await;
         }
-        let done = mpi.allreduce_f64_on(&comm, ReduceOp::Sum, &[1.0])[0];
+        let done = mpi.allreduce_f64_on(&comm, ReduceOp::Sum, &[1.0]).await[0];
         done as u64
     }
 }
@@ -64,7 +64,7 @@ fn run(gang: Option<GangConfig>, ranks: usize, steps: u64, compute: SimDuration)
     let layout = JobLayout::new(ranks / 4, 4, ranks);
     let mut cfg = BcsConfig::default();
     cfg.gang = gang;
-    let out = run_job(
+    let out = run_program(
         BcsMpi::new(cfg, &layout),
         layout,
         two_job_program(steps, compute),
@@ -107,22 +107,22 @@ fn single_job_gang_matches_dedicated_timing() {
     // compute quantization path, no switches).
     let steps = 10;
     let compute = SimDuration::micros(2_300);
-    let program = move |mpi: &mut Mpi| {
+    let program = move |mut mpi: AsyncMpi| async move {
         for _ in 0..steps {
-            mpi.compute(compute);
-            mpi.barrier();
+            mpi.compute(compute).await;
+            mpi.barrier().await;
         }
-        mpi.now().as_nanos()
+        mpi.now().await.as_nanos()
     };
     let layout = || JobLayout::new(4, 2, 8);
-    let plain = run_job(
+    let plain = run_program(
         BcsMpi::new(BcsConfig::default(), &layout()),
         layout(),
         program,
     );
     let mut cfg = BcsConfig::default();
     cfg.gang = Some(GangConfig::round_robin(8, 1));
-    let gang = run_job(BcsMpi::new(cfg, &layout()), layout(), program);
+    let gang = run_program(BcsMpi::new(cfg, &layout()), layout(), program);
     assert_eq!(gang.engine.gang_switches(), 0);
     // Timing may differ by at most one slice (compute quantization).
     let a = plain.elapsed.as_micros_f64();
@@ -150,24 +150,24 @@ fn descheduled_jobs_communication_still_progresses() {
     // job 1 = {1,3} (one rank of each job per node).
     let mut cfg = BcsConfig::default();
     cfg.gang = Some(GangConfig::round_robin(4, 2));
-    let out = run_job(BcsMpi::new(cfg, &layout), layout, |mpi| {
+    let out = run_program(BcsMpi::new(cfg, &layout), layout, |mut mpi: AsyncMpi| async move {
         let me = mpi.rank();
         if me % 2 == 1 {
             // Job 1: pure compute hog.
-            mpi.compute(SimDuration::millis(50));
+            mpi.compute(SimDuration::millis(50)).await;
             SimTime::ZERO.as_nanos()
         } else {
             // Job 0: a blocking round-trip between its two ranks.
             let peer = if me == 0 { 2 } else { 0 };
-            let t0 = mpi.now();
+            let t0 = mpi.now().await;
             if me == 0 {
-                mpi.send(peer, 1, &[1u8; 128]);
-                mpi.recv_from(peer, 2);
+                mpi.send(peer, 1, &[1u8; 128]).await;
+                mpi.recv_from(peer, 2).await;
             } else {
-                mpi.recv_from(peer, 1);
-                mpi.send(peer, 2, &[2u8; 128]);
+                mpi.recv_from(peer, 1).await;
+                mpi.send(peer, 2, &[2u8; 128]).await;
             }
-            mpi.now().since(t0).as_nanos()
+            mpi.now().await.since(t0).as_nanos()
         }
     });
     // Job 0's exchange finishes in a few slices, far below job 1's 50 ms.
