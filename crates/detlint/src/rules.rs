@@ -6,7 +6,7 @@
 //! |------|-----------|
 //! | D01  | no host clocks (`Instant`, `SystemTime`) outside `bench::{sweep,micro,wallclock}` |
 //! | D02  | no iteration over `HashMap`/`HashSet` in sim crates (order is seeded per-process) |
-//! | D03  | no `thread::spawn`/`thread::scope` outside `bench::sweep` |
+//! | D03  | no `thread::spawn`/`thread::scope`/`thread::Builder` outside `bench::sweep` |
 //! | D04  | no `std::env` reads outside `bench`, `apps::runner`, `detlint` |
 //! | D05  | every `unsafe` block/fn/impl carries a `// SAFETY:` comment |
 //! | D06  | no host-float literals or `f32`/`f64` in `crates/core` (softfloat owns FP) |
@@ -210,7 +210,9 @@ pub fn check_file(
                 if !d03_allowed(rel)
                     && i + 2 < toks.len()
                     && toks[i + 1].is_punct("::")
-                    && (toks[i + 2].is_ident("spawn") || toks[i + 2].is_ident("scope")) =>
+                    && (toks[i + 2].is_ident("spawn")
+                        || toks[i + 2].is_ident("scope")
+                        || toks[i + 2].is_ident("Builder")) =>
             {
                 out.push(finding(
                     "D03",
@@ -516,6 +518,9 @@ mod tests {
         let spawn = "std::thread::spawn(|| {});";
         assert_eq!(run("crates/apps/src/runner.rs", spawn).len(), 1);
         assert_eq!(run("crates/bench/src/sweep.rs", spawn).len(), 0);
+        let builder = "let h = std::thread::Builder::new().spawn(|| {});";
+        assert_eq!(run("crates/simcore/src/vm.rs", builder).len(), 1);
+        assert_eq!(run("crates/bench/src/sweep.rs", builder).len(), 0);
         let envread = "let v = std::env::var(\"X\");";
         assert_eq!(run("crates/core/src/protocol.rs", envread).len(), 1);
         assert_eq!(run("crates/apps/src/runner.rs", envread).len(), 0);
