@@ -49,6 +49,12 @@
 #      pair gated >= 1.4x in virtual time; here REPRO_COLL=hw-multicast
 #      must be a no-op for default runs and an unrecognized REPRO_COLL
 #      value must abort naming the valid algorithms
+#  10. the repository benchmark (perfbench/, its own cargo workspace, which
+#      tier-1 never builds) against the simulator API it pins: it builds,
+#      its unit tests pass, and each of its four workloads, run at seed 1
+#      for one second, reports "correct": true — its jobs reproduced the
+#      committed seed-1 golden results, elapsed and finish times, and final
+#      checkpoint digest
 #
 # Any compile warning in any workspace crate is a failure (-D warnings).
 set -euo pipefail
@@ -162,5 +168,17 @@ grep -q "valid values: hw-multicast, binomial, optimal" "$coll_dir/err.txt" \
   || { echo "verify: REPRO_COLL error does not name the valid algorithms" >&2; exit 1; }
 rm -rf "$coll_dir"
 echo "   REPRO_COLL plumbing OK (no-op default, typo aborts naming the algorithms)"
+
+echo "== perfbench: build, unit tests, and a seed-1 correctness pass per workload"
+cargo build --offline --release -q --manifest-path perfbench/Cargo.toml
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+for w in slice_idle halo_p2p allreduce_rdma fault_recover; do
+  line="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  case "$line" in
+    '{"correct": true,'*) echo "   $w: correct" ;;
+    *) echo "verify: perfbench $w did not reproduce its seed-1 golden: $line" >&2; exit 1 ;;
+  esac
+done
 
 echo "verify: OK"
